@@ -269,12 +269,13 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
                             return;
                         }
                         auto result = run_pipeline(specs[i].net, opt.pipeline);
-                        // Only *completed* runs are cached: a crash-shaped
-                        // failure (OOM, budget blowout) should be retried next
-                        // sweep, not replayed from disk forever.  CSC "no
-                        // circuit" verdicts complete and are cached -- the
-                        // verdict is the result.
-                        if (result.completed)
+                        // Only *completed*, uncut runs are cached: a
+                        // crash-shaped failure (OOM, budget blowout) or an
+                        // anytime search cut by its deadline should be
+                        // retried next sweep, not replayed from disk forever.
+                        // CSC "no circuit" verdicts complete and are cached
+                        // -- the verdict is the result.
+                        if (store::cacheable(result))
                             opt.store.put(key, store::record_of(result, fingerprint));
                         rep.specs[i] = record_of(specs[i].name, result);
                         return;

@@ -60,6 +60,31 @@ bool cube::intersects(const cube& o) const {
     return true;
 }
 
+dyn_bitset cube::blocking_literals(const std::vector<dyn_bitset>& off) const {
+    // diff(o) = the literals o violates: o(v) != pos(v) where v is no
+    // don't-care (padding bits are zero in pos, neg and o alike).
+    const auto& p = pos_.words();
+    const auto& n = neg_.words();
+    dyn_bitset blocked(nvars());
+    for (const auto& o : off) {
+        const auto& x = o.words();
+        std::size_t bit = dyn_bitset::npos;
+        bool several = false;
+        for (std::size_t w = 0; w < p.size() && !several; ++w) {
+            const uint64_t d = (x[w] ^ p[w]) & ~(p[w] & n[w]);
+            if (d == 0) continue;
+            if (bit != dyn_bitset::npos || (d & (d - 1)) != 0)
+                several = true;
+            else
+                bit = w * 64 + static_cast<std::size_t>(std::countr_zero(d));
+        }
+        if (several) continue;
+        if (bit == dyn_bitset::npos) return dyn_bitset(nvars(), true);  // covers o
+        blocked.set(bit);
+    }
+    return blocked;
+}
+
 std::size_t cube::hash() const noexcept {
     std::size_t h = pos_.hash();
     hash_combine(h, neg_.hash());
@@ -300,29 +325,28 @@ cover minimize_heuristic(const sop_spec& spec, unsigned passes) {
 namespace {
 
 /// Enumerates all maximal cubes (primes of ON u DC) reachable by expanding
-/// the given minterm, capped at @p max_primes overall.
-void enumerate_primes_from(const cube& start, const std::vector<dyn_bitset>& off,
+/// @p work, capped at @p max_primes overall.  @p work is widened in place and
+/// each literal restored after its subtree, so @p work is unchanged on return;
+/// only a pushed prime is copied.
+void enumerate_primes_from(cube& work, const std::vector<dyn_bitset>& off,
                            std::vector<cube>& primes, std::unordered_set<std::size_t>& seen,
                            std::size_t max_primes) {
     if (primes.size() >= max_primes) return;
+    // Dropping literal v alone hits OFF exactly when v is blocking; the set
+    // depends on this node's cube only, which every subtree restores.
+    const dyn_bitset blocked = work.blocking_literals(off);
     bool maximal = true;
-    for (std::size_t v = 0; v < start.nvars(); ++v) {
-        if (start.is_dc(v)) continue;
-        cube wider = start;
-        wider.set_dc(v);
-        bool hits_off = false;
-        for (const auto& m : off)
-            if (wider.covers(m)) {
-                hits_off = true;
-                break;
-            }
-        if (hits_off) continue;
+    for (std::size_t v = 0; v < work.nvars(); ++v) {
+        if (work.is_dc(v) || blocked.test(v)) continue;
         maximal = false;
-        if (seen.insert(wider.hash()).second)
-            enumerate_primes_from(wider, off, primes, seen, max_primes);
+        const bool positive = work.literal(v) > 0;
+        work.set_dc(v);
+        if (seen.insert(work.hash()).second)
+            enumerate_primes_from(work, off, primes, seen, max_primes);
+        work.set_literal(v, positive);
         if (primes.size() >= max_primes) return;
     }
-    if (maximal) primes.push_back(start);
+    if (maximal) primes.push_back(work);
 }
 
 struct bnb_state {

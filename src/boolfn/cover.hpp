@@ -56,6 +56,12 @@ public:
     /// True iff every point of @p o is also covered by this cube.
     [[nodiscard]] bool contains(const cube& o) const;
     [[nodiscard]] bool intersects(const cube& o) const;
+    /// The literals this cube cannot drop on its own: bit v is set iff some
+    /// point of @p off differs from the cube in literal v and nowhere else,
+    /// so that the cube with v dropped covers it.  When the cube already
+    /// covers a point of @p off, every bit is set.  One pass over @p off
+    /// answers the drop test for every literal at once.
+    [[nodiscard]] dyn_bitset blocking_literals(const std::vector<dyn_bitset>& off) const;
 
     [[nodiscard]] bool operator==(const cube&) const = default;
     [[nodiscard]] std::size_t hash() const noexcept;

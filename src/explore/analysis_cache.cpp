@@ -1,5 +1,8 @@
 #include "explore/analysis_cache.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <numeric>
 #include <unordered_map>
 
 namespace asynth::explore {
@@ -25,6 +28,21 @@ context make_context(const state_graph& base, const cost_params& params) {
         if (auto m = base.find_event(static_cast<int32_t>(s), edge::minus)) se.minus = *m;
         se.estimated = base.signals()[s].kind != signal_kind::input &&
                        (se.plus >= 0 || se.minus >= 0);
+    }
+
+    ctx.sig_words = (base.signals().size() + 63) / 64;
+    ctx.estimated_mask.assign(ctx.sig_words, 0);
+    ctx.rise.assign(ctx.nevents * ctx.sig_words, 0);
+    ctx.fall.assign(ctx.nevents * ctx.sig_words, 0);
+    for (uint32_t s = 0; s < ctx.sig_events.size(); ++s) {
+        const auto& se = ctx.sig_events[s];
+        if (!se.estimated) continue;
+        const uint64_t bit = uint64_t{1} << (s & 63U);
+        ctx.estimated_mask[s >> 6] |= bit;
+        if (se.plus >= 0)
+            ctx.rise[static_cast<std::size_t>(se.plus) * ctx.sig_words + (s >> 6)] |= bit;
+        if (se.minus >= 0)
+            ctx.fall[static_cast<std::size_t>(se.minus) * ctx.sig_words + (s >> 6)] |= bit;
     }
 
     ctx.code_hash.reserve(base.state_count());
@@ -86,60 +104,100 @@ std::size_t group_conflicts(const context& ctx, const std::vector<uint32_t>& mem
     return pairs;
 }
 
-sig_key signal_key(const context& ctx, uint32_t signal,
-                   const std::vector<const code_group*>& ordered, const dyn_bitset* removed,
-                   const row_view& rows) {
-    sig_key key;
-    for (const code_group* grp : ordered) {
-        // side: +1 = every member ON, -1 = every member OFF, 0 = conflicting
-        // (excluded from both sides, exactly as derive_nextstate() does).
-        int side = 2;  // 2 = no live member seen yet
-        uint64_t chash = 0;
-        for (uint32_t s : grp->states) {
+group_walk walk_groups(const context& ctx, const std::vector<code_group>& groups,
+                       const dyn_bitset* removed, const row_view& rows) {
+    const auto& states = ctx.base->states();
+    const std::size_t sw = ctx.sig_words;
+    group_walk walk;
+    walk.first.reserve(groups.size());
+    walk.on.reserve(groups.size() * sw);
+    walk.off.reserve(groups.size() * sw);
+    std::vector<uint64_t> rise(sw), fall(sw), all_on(sw), any_on(sw);
+    for (const auto& grp : groups) {
+        bool seen = false;
+        for (uint32_t s : grp.states) {
             if (removed && removed->test(s)) continue;
-            const int fs = nextstate_value(ctx, signal, s, rows(s)) ? 1 : -1;
-            if (side == 2) {
-                side = fs;
-                chash = ctx.code_hash[s];
-            } else if (side != fs) {
-                side = 0;
-                break;
+            std::fill(rise.begin(), rise.end(), 0);
+            std::fill(fall.begin(), fall.end(), 0);
+            const uint64_t* row = rows(s);
+            for (std::size_t w = 0; w < ctx.words; ++w) {
+                for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+                    const std::size_t e = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+                    for (std::size_t k = 0; k < sw; ++k) {
+                        rise[k] |= ctx.rise[e * sw + k];
+                        fall[k] |= ctx.fall[e * sw + k];
+                    }
+                }
             }
+            // f(s) = rise | (code & ~fall): excited signals take their target
+            // value, quiescent ones keep their code bit.
+            const auto& code = states[s].code.words();
+            for (std::size_t k = 0; k < sw; ++k) {
+                const uint64_t ns = rise[k] | (code[k] & ~fall[k]);
+                all_on[k] = seen ? all_on[k] & ns : ns;
+                any_on[k] = seen ? any_on[k] | ns : ns;
+            }
+            if (!seen) walk.first.push_back(s);
+            seen = true;
         }
-        if (side == 1)
-            hash128_combine(key.on, chash);
-        else if (side == -1)
-            hash128_combine(key.off, chash);
+        if (!seen) continue;
+        for (std::size_t k = 0; k < sw; ++k) {
+            walk.on.push_back(all_on[k] & ctx.estimated_mask[k]);
+            walk.off.push_back(~any_on[k] & ctx.estimated_mask[k]);
+        }
     }
-    return key;
+    // Pruning can reorder the first-encounter sequence: restore it by sorting
+    // the group records on their first surviving member.
+    walk.order.resize(walk.first.size());
+    std::iota(walk.order.begin(), walk.order.end(), 0U);
+    if (removed)
+        std::sort(walk.order.begin(), walk.order.end(),
+                  [&](uint32_t x, uint32_t y) { return walk.first[x] < walk.first[y]; });
+    return walk;
 }
 
-sop_spec assemble_spec(const context& ctx, uint32_t signal,
-                       const std::vector<const code_group*>& ordered, const dyn_bitset* removed,
-                       const row_view& rows) {
-    const auto& b = *ctx.base;
-    sop_spec spec;
-    spec.nvars = b.signals().size();
-    for (const code_group* grp : ordered) {
-        int side = 2;
-        uint32_t first = 0;
-        for (uint32_t s : grp->states) {
-            if (removed && removed->test(s)) continue;
-            const int fs = nextstate_value(ctx, signal, s, rows(s)) ? 1 : -1;
-            if (side == 2) {
-                side = fs;
-                first = s;
-            } else if (side != fs) {
-                side = 0;
-                break;
-            }
-        }
-        if (side == 1)
-            spec.on.push_back(b.states()[first].code);
-        else if (side == -1)
-            spec.off.push_back(b.states()[first].code);
+sig_key group_walk::key(const context& ctx, uint32_t signal) const {
+    const std::size_t sw = ctx.sig_words, w = signal >> 6;
+    const uint64_t bit = uint64_t{1} << (signal & 63U);
+    sig_key k;
+    for (uint32_t r : order) {
+        if (on[r * sw + w] & bit)
+            hash128_combine(k.on, ctx.code_hash[first[r]]);
+        else if (off[r * sw + w] & bit)
+            hash128_combine(k.off, ctx.code_hash[first[r]]);
     }
-    return spec;
+    return k;
+}
+
+void group_walk::keys(const context& ctx, std::vector<sig_key>& out) const {
+    const std::size_t sw = ctx.sig_words;
+    out.assign(ctx.sig_events.size(), sig_key{});
+    for (uint32_t r : order) {
+        const uint64_t h = ctx.code_hash[first[r]];
+        for (std::size_t w = 0; w < sw; ++w) {
+            for (uint64_t bits = on[r * sw + w]; bits != 0; bits &= bits - 1)
+                hash128_combine(out[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))].on,
+                                h);
+            for (uint64_t bits = off[r * sw + w]; bits != 0; bits &= bits - 1)
+                hash128_combine(out[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))].off,
+                                h);
+        }
+    }
+}
+
+sop_spec group_walk::spec(const context& ctx, uint32_t signal) const {
+    const auto& states = ctx.base->states();
+    const std::size_t sw = ctx.sig_words, w = signal >> 6;
+    const uint64_t bit = uint64_t{1} << (signal & 63U);
+    sop_spec out;
+    out.nvars = ctx.sig_events.size();
+    for (uint32_t r : order) {
+        if (on[r * sw + w] & bit)
+            out.on.push_back(states[first[r]].code);
+        else if (off[r * sw + w] & bit)
+            out.off.push_back(states[first[r]].code);
+    }
+    return out;
 }
 
 std::size_t minimise_literals(const context& ctx, const sop_spec& spec, const sig_key& key,
@@ -158,10 +216,10 @@ std::size_t minimise_literals(const context& ctx, const sop_spec& spec, const si
 }  // namespace detail
 
 sig_key key_of_spec(const sop_spec& spec) {
-    // Must mirror detail::signal_key: that walks the code groups once,
-    // chaining splitmix64(code.hash()) of each single-sided group into the
-    // matching lane; the group walk emits exactly spec.on / spec.off in
-    // order, so chaining over the assembled lists reproduces the key.
+    // Must mirror detail::group_walk::key: that chains splitmix64(code.hash())
+    // of each single-sided group's code into the matching lane, in group
+    // order; group_walk::spec emits exactly spec.on / spec.off in that order,
+    // so chaining over the assembled lists reproduces the key.
     sig_key key;
     for (const auto& code : spec.on) hash128_combine(key.on, splitmix64(code.hash()));
     for (const auto& code : spec.off) hash128_combine(key.off, splitmix64(code.hash()));
@@ -193,23 +251,22 @@ analysis_cache build_cache(const context& ctx, const subgraph& g, literal_memo* 
         c.csc_pairs += grp.conflict_pairs;
     }
 
-    std::vector<const code_group*> ordered;
-    ordered.reserve(c.groups.size());
-    for (const auto& grp : c.groups) ordered.push_back(&grp);
-
+    const detail::group_walk walk = detail::walk_groups(ctx, c.groups, nullptr, rows);
+    std::vector<sig_key> keys;
+    walk.keys(ctx, keys);
     c.signals.resize(b.signals().size());
     std::size_t literals = 0;
     for (uint32_t s = 0; s < b.signals().size(); ++s) {
         auto& entry = c.signals[s];
         entry.estimated = ctx.sig_events[s].estimated;
         if (!entry.estimated) continue;
-        entry.key = detail::signal_key(ctx, s, ordered, nullptr, rows);
+        entry.key = keys[s];
         auto hit = memo ? memo->find(entry.key) : std::nullopt;
         if (hit && hit->literals)
             entry.literals = *hit->literals;
         else
-            entry.literals = detail::minimise_literals(
-                ctx, detail::assemble_spec(ctx, s, ordered, nullptr, rows), entry.key, memo);
+            entry.literals =
+                detail::minimise_literals(ctx, walk.spec(ctx, s), entry.key, memo);
         literals += entry.literals;
     }
 

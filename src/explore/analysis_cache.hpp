@@ -20,6 +20,13 @@
 //    mean the heuristic minimiser would see the identical input, so the
 //    cached literal count can be reused without re-minimising.
 //
+// Keys and specs come from one group walk per move (detail::walk_groups):
+// every surviving state's next-state vector is computed once, with word
+// operations, and folded into two signal masks per code group -- the signals
+// that are 1 at every surviving member and those that are 0 at every one.
+// Each signal's key and ON/OFF spec is then read off those per-group records
+// instead of re-walking the states once per signal.
+//
 // Every cached quantity is *exact*: the incremental engine reproduces the
 // reference engine's costs to the last bit (the corpus equivalence test in
 // tests/test_explore.cpp pins this).  The only approximation anywhere is the
@@ -82,6 +89,14 @@ struct context {
     };
     std::vector<signal_events> sig_events;  ///< per signal
     std::vector<uint64_t> code_hash;        ///< per state: mixed hash of its code
+    /// Signal masks, `sig_words` 64-bit words each (the width of a state code).
+    std::size_t sig_words = 0;
+    std::vector<uint64_t> estimated_mask;   ///< the estimated signals
+    /// Per event, `sig_words` words each: the estimated signal the event
+    /// raises (`rise`) or lowers (`fall`) -- set only for the sig+/sig- event
+    /// that sig_events names -- so a state's next-state vector is
+    /// rise(row) | (code & ~fall(row)) over its enabled events.
+    std::vector<uint64_t> rise, fall;
 };
 
 /// The memoised analyses attached to one frontier node.
@@ -165,9 +180,9 @@ private:
                                          literal_memo* memo = nullptr);
 
 /// The spec key of an already-assembled ON/OFF specification: the identical
-/// chained hash that detail::signal_key computes from the cached group
-/// structure (pinned in tests/test_logic.cpp).  This is the bridge that lets
-/// a consumer holding only a sop_spec -- the logic stage, whose
+/// chained hash that detail::group_walk::key computes from the group records
+/// (pinned in tests/test_logic.cpp).  This is the bridge that lets a
+/// consumer holding only a sop_spec -- the logic stage, whose
 /// derive_nextstate() emits the same minterm lists in the same order -- look
 /// up the search's literal_memo without an analysis_cache.
 [[nodiscard]] sig_key key_of_spec(const sop_spec& spec);
@@ -179,17 +194,6 @@ inline bool row_bit(const uint64_t* row, std::size_t event) noexcept {
 }
 inline void row_set(uint64_t* row, std::size_t event) noexcept {
     row[event >> 6] |= uint64_t{1} << (event & 63U);
-}
-
-/// f_x(s): the next-state function value of signal x at state s (paper
-/// section 3), reading excitation from an enabled-event row.
-inline bool nextstate_value(const context& ctx, uint32_t signal, uint32_t state,
-                            const uint64_t* row) noexcept {
-    const auto& ev = ctx.sig_events[signal];
-    const bool value = ctx.base->states()[state].code.test(signal);
-    const bool rising = ev.plus >= 0 && row_bit(row, static_cast<std::size_t>(ev.plus));
-    const bool falling = ev.minus >= 0 && row_bit(row, static_cast<std::size_t>(ev.minus));
-    return rising || (value && !falling);
 }
 
 // ---- internals shared by analysis_cache.cpp and move.cpp -------------------
@@ -215,11 +219,34 @@ struct row_view {
     }
 };
 
-/// The order-sensitive spec key of @p signal over @p ordered code groups
-/// (members with a set bit in @p removed are skipped; @p removed may be null).
-[[nodiscard]] sig_key signal_key(const context& ctx, uint32_t signal,
-                                 const std::vector<const code_group*>& ordered,
-                                 const dyn_bitset* removed, const row_view& rows);
+/// The code groups as one node sees them: one record per group with a
+/// surviving member, holding that member and the estimated signals whose
+/// next-state value f_x (paper section 3) is 1 at every surviving member
+/// (`on`) or 0 at every one (`off`).  A signal in neither mask is
+/// conflicting in that group, which derive_nextstate() leaves out of both
+/// sides; so is the group here.
+struct group_walk {
+    std::vector<uint32_t> first;  ///< per record: first surviving member state
+    std::vector<uint64_t> on;     ///< per record: ctx.sig_words words
+    std::vector<uint64_t> off;    ///< per record: ctx.sig_words words
+    /// The records in the node's first-encounter order (ascending first
+    /// surviving member, the derive_nextstate() order).
+    std::vector<uint32_t> order;
+
+    /// The order-sensitive spec key of estimated signal @p signal.
+    [[nodiscard]] sig_key key(const context& ctx, uint32_t signal) const;
+    /// Every estimated signal's key in one pass (entries of the other
+    /// signals stay empty); @p out is indexed by signal.
+    void keys(const context& ctx, std::vector<sig_key>& out) const;
+    /// The ON/OFF spec of estimated signal @p signal: the identical minterm
+    /// lists, in the identical order, that derive_nextstate() emits.
+    [[nodiscard]] sop_spec spec(const context& ctx, uint32_t signal) const;
+};
+
+/// Walks @p groups once (members with a set bit in @p removed are skipped;
+/// @p removed may be null), reading enabled sets through @p rows.
+[[nodiscard]] group_walk walk_groups(const context& ctx, const std::vector<code_group>& groups,
+                                     const dyn_bitset* removed, const row_view& rows);
 
 /// Conflict pairs within one code group: member pairs whose non-input enabled
 /// sets differ (members in @p removed skipped; may be null).
@@ -233,14 +260,6 @@ void build_groups(const context& ctx, const subgraph& g, std::vector<code_group>
 
 /// Enabled-event rows of every live state.
 [[nodiscard]] std::vector<uint64_t> build_rows(const context& ctx, const subgraph& g);
-
-/// The ON/OFF spec of @p signal over @p ordered groups -- the identical
-/// minterm lists, in the identical order, that derive_nextstate() would emit
-/// for the corresponding subgraph, but assembled from the cached group
-/// structure without re-hashing every state's code.
-[[nodiscard]] sop_spec assemble_spec(const context& ctx, uint32_t signal,
-                                     const std::vector<const code_group*>& ordered,
-                                     const dyn_bitset* removed, const row_view& rows);
 
 /// Minimised literal count of @p spec via minimize_heuristic(), memoised
 /// under @p key when @p memo is non-null.

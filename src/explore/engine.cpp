@@ -198,6 +198,8 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
         std::optional<double> min_pruned_lo;
         const bool bounded = opt.quality == search_quality::bounded;
         if (!bounded && opt.minimizer == minimizer_mode::exact) {
+            obs::span esp("explore.exact", "explore");
+            esp.arg("scored", static_cast<std::uint64_t>(unique.size()));
             run_tasks(pool, unique.size(), [&](std::size_t k) {
                 const move_ref& m = moves[unique[k]];
                 scores[k] = score_move(ctx, frontier[m.node].g, frontier[m.node].cache,
@@ -208,11 +210,16 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
         } else {
             // ---- phase 3a: bound every candidate (parallel, cheap).
             std::vector<move_eval> evals(unique.size());
-            run_tasks(pool, unique.size(), [&](std::size_t k) {
-                const move_ref& m = moves[unique[k]];
-                evals[k] = bound_move(ctx, frontier[m.node].g, frontier[m.node].cache,
-                                      *applied[unique[k]], memo);
-            });
+            {
+                obs::span bsp("explore.bound", "explore");
+                bsp.arg("bounded", static_cast<std::uint64_t>(unique.size()));
+                run_tasks(pool, unique.size(), [&](std::size_t k) {
+                    const move_ref& m = moves[unique[k]];
+                    evals[k] = bound_move(ctx, frontier[m.node].g, frontier[m.node].cache,
+                                          *applied[unique[k]], memo);
+                });
+            }
+            obs::span esp("explore.exact", "explore");
 
             // ---- phase 3b: exactly score the beam-width most promising
             // candidates to establish the admission cost.  The dominance
@@ -304,6 +311,7 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
             }
             std::sort(admitted.begin(), admitted.end());
             res.pruned += unique.size() - admitted.size();
+            esp.arg("scored", static_cast<std::uint64_t>(admitted.size()));
         }
         res.explored += unique.size();
         lsp.arg("admitted", static_cast<std::uint64_t>(admitted.size()));

@@ -150,59 +150,27 @@ std::size_t delta_csc_pairs(const context& ctx, const analysis_cache& cache,
     return csc;
 }
 
-/// The child's code-group order (ascending minimum surviving member -- the
-/// derive_nextstate()/check_csc() first-encounter order).  Deterministic in
-/// (cache, am), so the bounder and the finisher rebuild the identical order.
-std::vector<const code_group*> child_group_order(const analysis_cache& cache,
-                                                 const applied_move& am) {
-    std::vector<const code_group*> ordered;
-    if (am.removed_states.none()) {
-        // No pruning: the code groups are unchanged.
-        ordered.reserve(cache.groups.size());
-        for (const auto& grp : cache.groups) ordered.push_back(&grp);
-        return ordered;
-    }
-    // Pruning may drop codes (larger DC-set) anywhere and can reorder the
-    // first-encounter sequence; rebuild it from the surviving members.
-    std::vector<std::pair<uint32_t, const code_group*>> order;
-    order.reserve(cache.groups.size());
-    for (const auto& grp : cache.groups) {
-        for (uint32_t s : grp.states) {
-            if (!am.removed_states.test(s)) {
-                order.emplace_back(s, &grp);
-                break;
-            }
-        }
-    }
-    std::sort(order.begin(), order.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    ordered.reserve(order.size());
-    for (const auto& [min_state, grp] : order) ordered.push_back(grp);
-    return ordered;
-}
-
 /// The canonical changed-signal enumeration both the exact scorer and the
 /// dominance bounder share (one source, so their orders cannot drift): calls
 /// visit(signal, key) for every estimated signal whose spec key differs from
-/// the parent's.  @p ordered is child_group_order(cache, am).
+/// the parent's.  @p walk is child_walk(ctx, cache, am).
 template <typename Visit>
 void for_each_changed_signal(const context& ctx, const analysis_cache& cache,
-                             const applied_move& am, const detail::row_view& child_rows,
-                             const std::vector<const code_group*>& ordered, Visit&& visit) {
-    auto visit_if_changed = [&](uint32_t x) {
-        const sig_key key = detail::signal_key(ctx, x, ordered, &am.removed_states, child_rows);
-        if (key == cache.signals[x].key) return;  // identical spec: reuse count
-        visit(x, key);
-    };
-
+                             const applied_move& am, const detail::group_walk& walk,
+                             Visit&& visit) {
     if (am.removed_states.none()) {
         // Only the delayed event's signal changed its excitation anywhere.
-        visit_if_changed(static_cast<uint32_t>(ctx.base->events()[am.delayed_event].signal));
-    } else {
-        // Pruning can change any signal's spec: re-key every estimated one.
-        for (uint32_t x = 0; x < ctx.sig_events.size(); ++x)
-            if (ctx.sig_events[x].estimated) visit_if_changed(x);
+        const auto x = static_cast<uint32_t>(ctx.base->events()[am.delayed_event].signal);
+        const sig_key key = walk.key(ctx, x);
+        if (key != cache.signals[x].key) visit(x, key);
+        return;
     }
+    // Pruning can change any signal's spec: re-key every estimated one, all
+    // from the one walk.
+    std::vector<sig_key> keys;
+    walk.keys(ctx, keys);
+    for (uint32_t x = 0; x < ctx.sig_events.size(); ++x)
+        if (ctx.sig_events[x].estimated && keys[x] != cache.signals[x].key) visit(x, keys[x]);
 }
 
 cost_breakdown combine_cost(const context& ctx, std::size_t states, std::size_t csc,
@@ -229,17 +197,14 @@ move_score score_move(const context& ctx, const subgraph& parent, const analysis
     // ---- Delta(literals): recompute a signal's spec key only when the move
     // can have changed it, re-minimise only when the key actually differs.
     std::size_t literals = cache.cost.literals;
-    const std::vector<const code_group*> ordered = child_group_order(cache, am);
-    for_each_changed_signal(ctx, cache, am, child_rows, ordered, [&](uint32_t x,
-                                                                     const sig_key& key) {
+    const detail::group_walk walk = child_walk(ctx, cache, am);
+    for_each_changed_signal(ctx, cache, am, walk, [&](uint32_t x, const sig_key& key) {
         std::size_t lits;
         if (auto hit = memo.find(key); hit && hit->literals) {
             memo_hits().add();
             lits = *hit->literals;
         } else {
-            lits = detail::minimise_literals(
-                ctx, detail::assemble_spec(ctx, x, ordered, &am.removed_states, child_rows), key,
-                &memo);
+            lits = detail::minimise_literals(ctx, walk.spec(ctx, x), key, &memo);
         }
         literals -= cache.signals[x].literals;
         literals += lits;
@@ -263,9 +228,8 @@ move_eval bound_move(const context& ctx, const subgraph& parent, const analysis_
     // dip below zero even though the final total cannot.
     auto lo = static_cast<std::int64_t>(cache.cost.literals);
     auto hi = lo;
-    const std::vector<const code_group*> ordered = child_group_order(cache, am);
-    for_each_changed_signal(ctx, cache, am, child_rows, ordered, [&](uint32_t x,
-                                                                     const sig_key& key) {
+    const detail::group_walk walk = child_walk(ctx, cache, am);
+    for_each_changed_signal(ctx, cache, am, walk, [&](uint32_t x, const sig_key& key) {
         move_eval::changed_signal ch;
         ch.signal = x;
         ch.key = key;
@@ -284,8 +248,7 @@ move_eval bound_move(const context& ctx, const subgraph& parent, const analysis_
                 // and bound it, warm-starting the upper bound on the parent's
                 // minimised cover for this signal (always memoised when the
                 // engine drives us).
-                const sop_spec spec =
-                    detail::assemble_spec(ctx, x, ordered, &am.removed_states, child_rows);
+                const sop_spec spec = walk.spec(ctx, x);
                 std::shared_ptr<const cover> warm;
                 if (auto parent_hit = memo.find(cache.signals[x].key);
                     parent_hit && parent_hit->cubes)
@@ -309,10 +272,9 @@ move_eval bound_move(const context& ctx, const subgraph& parent, const analysis_
 move_score finish_score(const context& ctx, const analysis_cache& cache, const applied_move& am,
                         move_eval eval, literal_memo& memo) {
     move_score out;
-    const detail::row_view child_rows{&ctx, &cache.rows, &am.disturbed, &am.disturbed_rows};
-    // Group order rebuilt lazily: every unresolved signal may already be an
-    // exact memo hit by now (a sibling seed minimised the same key).
-    std::vector<const code_group*> ordered;
+    // The group walk is redone lazily: every unresolved signal may already be
+    // an exact memo hit by now (a sibling seed minimised the same key).
+    std::optional<detail::group_walk> walk;
     std::size_t literals = cache.cost.literals;
     for (auto& ch : eval.changed) {
         std::size_t lits;
@@ -322,10 +284,8 @@ move_score finish_score(const context& ctx, const analysis_cache& cache, const a
             memo_hits().add();
             lits = *hit->literals;
         } else {
-            if (ordered.empty()) ordered = child_group_order(cache, am);
-            lits = detail::minimise_literals(
-                ctx, detail::assemble_spec(ctx, ch.signal, ordered, &am.removed_states, child_rows),
-                ch.key, &memo);
+            if (!walk) walk = child_walk(ctx, cache, am);
+            lits = detail::minimise_literals(ctx, walk->spec(ctx, ch.signal), ch.key, &memo);
         }
         literals -= cache.signals[ch.signal].literals;
         literals += lits;
@@ -333,6 +293,14 @@ move_score finish_score(const context& ctx, const analysis_cache& cache, const a
     }
     out.cost = combine_cost(ctx, eval.states, eval.csc, literals);
     return out;
+}
+
+detail::group_walk child_walk(const context& ctx, const analysis_cache& cache,
+                              const applied_move& am) {
+    const detail::row_view child_rows{&ctx, &cache.rows, &am.disturbed, &am.disturbed_rows};
+    return detail::walk_groups(ctx, cache.groups,
+                               am.removed_states.none() ? nullptr : &am.removed_states,
+                               child_rows);
 }
 
 analysis_cache derive_cache(const context& ctx, const subgraph& parent,

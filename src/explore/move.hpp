@@ -13,7 +13,9 @@
 // score_move() computes the child's section-7 cost as a delta: csc_pairs is
 // adjusted only for code groups containing removed/disturbed states, and a
 // signal is re-minimised only when its 128-bit spec key differs from the
-// parent's (otherwise the parent's literal count is provably reusable).  A
+// parent's (otherwise the parent's literal count is provably reusable).  All
+// keys and specs of one move come from a single walk over the code groups
+// (child_walk()), not from one walk per signal.  A
 // search-global literal_memo additionally dedupes minimisations across
 // sibling candidates that converge to the same spec.
 #pragma once
@@ -122,6 +124,13 @@ struct move_eval {
 [[nodiscard]] move_score finish_score(const context& ctx, const analysis_cache& cache,
                                       const applied_move& am, move_eval eval,
                                       literal_memo& memo);
+
+/// The child's group walk, from which score_move(), bound_move() and
+/// finish_score() read every changed signal's key and spec: one pass over
+/// the parent's code groups, skipping the pruned states and reading the
+/// disturbed states' child rows.  Deterministic in (cache, am).
+[[nodiscard]] detail::group_walk child_walk(const context& ctx, const analysis_cache& cache,
+                                            const applied_move& am);
 
 /// Derives the child's full cache from the parent's: clean ER components and
 /// signal entries are copied, dirty ones recomputed; the CSC structure and

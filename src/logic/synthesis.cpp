@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "boolfn/incremental_cover.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace asynth {
@@ -116,6 +117,10 @@ synthesis_result synthesize(const subgraph& g, const synthesis_options& opt) {
             !b.find_event(static_cast<int32_t>(sig), edge::minus))
             continue;
 
+        // One span per implemented signal: the next-state function and, for
+        // a complex gate, both gC networks.
+        obs::span msp("logic.minimise", "logic");
+        msp.arg("signal", decl.name);
         auto ns = derive_nextstate(g, sig);
         if (!ns.conflicting.empty()) {
             res.message = "CSC conflict on signal '" + decl.name + "' (" +
@@ -183,6 +188,7 @@ synthesis_result synthesize(const subgraph& g, const synthesis_options& opt) {
                 impl.equation = decl.name + " = " + impl.function.to_string(names);
             }
         }
+        msp.arg("literals", static_cast<std::uint64_t>(impl.function.literal_count()));
         res.ckt.total_area += impl.area;
         res.ckt.impls.push_back(std::move(impl));
     }

@@ -214,8 +214,9 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         if (!rec) {
             auto result = run_pipeline(*spec, req.options);
             auto fresh = store::record_of(result, fingerprint);
-            // Cache only completed runs (failures retry next time).
-            if (key && result.completed) store_.put(*key, fresh);
+            // Cache only completed, uncut runs (failures and deadline-cut
+            // anytime searches retry next time).
+            if (key && store::cacheable(result)) store_.put(*key, fresh);
             rec = std::move(fresh);
         }
     }

@@ -89,6 +89,14 @@ struct stored_record {
 /// the producing options' fingerprint (store/result_store.hpp).
 [[nodiscard]] stored_record record_of(const pipeline_result& r, std::string fingerprint);
 
+/// True when @p r may be stored under its (spec, options) key: the run
+/// completed, and no anytime deadline cut its search short.  A cut result
+/// depends on the machine's speed at the time, not only on the key, so
+/// caching it would serve that accident forever.  Failures are retried too.
+[[nodiscard]] inline bool cacheable(const pipeline_result& r) noexcept {
+    return r.completed && !r.search.deadline_hit;
+}
+
 /// Serialises header + payload (the exact bytes put() writes to disk).
 [[nodiscard]] std::string serialize_record(const stored_record& rec);
 

@@ -1,7 +1,8 @@
 // Batch engine: job-count independence of the per-spec records, poisoned
 // specs failing in isolation, the record projection of pipeline results, the
-// schema stability of the JSON report, and the persistent work-stealing
-// pool's batch-reuse contract.
+// schema stability of the JSON report, the store never caching a
+// deadline-cut search, and the persistent work-stealing pool's batch-reuse
+// contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include "benchmarks/generate.hpp"
 #include "petri/astg_io.hpp"
 #include "pipeline/pipeline.hpp"
+#include "store/result_store.hpp"
 
 using namespace asynth;
 using batch::batch_options;
@@ -303,4 +305,34 @@ TEST(batch, empty_workload) {
     EXPECT_TRUE(rep.specs.empty());
     std::string json = batch::report_json(rep);
     EXPECT_NE(json.find("\"specs\": []"), std::string::npos);
+}
+
+TEST(batch, deadline_cut_anytime_results_are_not_cached) {
+    // A search cut by its anytime deadline depends on the machine's speed,
+    // not only on (spec, options): the store must not keep it, so the same
+    // sweep run again misses instead of replaying the cut result.
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("asynth_batch_anytime_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::vector<benchmarks::named_spec> specs{{"mmu", benchmarks::mmu_controller()}};
+    batch_options opt;
+    opt.jobs = 1;
+    opt.pipeline.search.quality = search_quality::anytime;
+    opt.pipeline.search.deadline_ms = 1;
+    opt.store = store::result_store::open(dir.string());
+    ASSERT_TRUE(opt.store.enabled());
+
+    const auto first = run_batch(specs, opt);
+    ASSERT_EQ(first.specs.size(), 1u);
+    ASSERT_TRUE(first.specs[0].completed);
+    // The multi-level search cannot finish inside 1 ms: the cut is reported
+    // as a nonzero bound gap.
+    ASSERT_GT(first.specs[0].bound_gap, 0.0);
+    EXPECT_EQ(first.store_misses, 1u);
+
+    const auto second = run_batch(specs, opt);
+    EXPECT_EQ(second.store_hits, 0u);
+    EXPECT_EQ(second.store_misses, 1u);
+    EXPECT_FALSE(second.specs[0].store_hit);
+    std::filesystem::remove_all(dir);
 }

@@ -1,5 +1,6 @@
 // Cube/cover algebra and the two minimisers, cross-checked against brute
-// force truth tables on random functions; plus the incremental cover engine
+// force truth tables on random functions; minimize_exact against a
+// brute-force optimum over all 3^n cubes; plus the incremental cover engine
 // (restrict-and-repair, literal bounds) against a brute-force
 // literal-optimal cover.
 #include <gtest/gtest.h>
@@ -145,6 +146,141 @@ TEST_P(minimize_random, heuristic_and_exact_are_correct) {
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, minimize_random, ::testing::Range<uint64_t>(0, 40));
+
+// ---- exactness oracle for prime enumeration --------------------------------
+
+namespace {
+
+/// Every prime implicant of ON u DC that covers an ON minterm, by brute force
+/// over all 3^n cubes: a cube avoiding the OFF-set none of whose literals can
+/// be dropped without hitting it.
+std::vector<cube> brute_force_primes(const sop_spec& spec) {
+    auto avoids_off = [&](const cube& c) {
+        for (const auto& o : spec.off)
+            if (c.covers(o)) return false;
+        return true;
+    };
+    std::vector<cube> primes;
+    std::vector<int> digits(spec.nvars, 0);  // 0 = don't care, 1 = pos, 2 = neg
+    for (;;) {
+        cube c(spec.nvars);
+        for (std::size_t v = 0; v < spec.nvars; ++v)
+            if (digits[v] != 0) c.set_literal(v, digits[v] == 1);
+        bool prime = avoids_off(c);
+        for (std::size_t v = 0; prime && v < spec.nvars; ++v) {
+            if (c.is_dc(v)) continue;
+            cube wider = c;
+            wider.set_dc(v);
+            if (avoids_off(wider)) prime = false;
+        }
+        bool useful = false;
+        for (const auto& m : spec.on) useful = useful || c.covers(m);
+        if (prime && useful) primes.push_back(c);
+        std::size_t v = 0;
+        while (v < spec.nvars && digits[v] == 2) digits[v++] = 0;
+        if (v == spec.nvars) break;
+        ++digits[v];
+    }
+    return primes;
+}
+
+/// The minimum of cubes * 1000 + literals over every cover of the ON-set by
+/// @p primes (exhaustive branch and bound below @p bound).
+std::size_t optimal_prime_cover_cost(const sop_spec& spec, const std::vector<cube>& primes,
+                                     std::size_t bound) {
+    std::vector<std::vector<std::size_t>> covering(spec.on.size());
+    for (std::size_t m = 0; m < spec.on.size(); ++m)
+        for (std::size_t p = 0; p < primes.size(); ++p)
+            if (primes[p].covers(spec.on[m])) covering[m].push_back(p);
+    std::vector<int> covered(spec.on.size(), 0);
+    std::size_t best = bound;
+    auto dfs = [&](auto&& self, std::size_t cost) -> void {
+        std::size_t pick = spec.on.size();
+        for (std::size_t m = 0; m < spec.on.size(); ++m)
+            if (covered[m] == 0 && (pick == spec.on.size() ||
+                                    covering[m].size() < covering[pick].size()))
+                pick = m;
+        if (pick == spec.on.size()) {
+            best = std::min(best, cost);
+            return;
+        }
+        if (cost + 1000 >= best) return;  // one more cube cannot beat best
+        for (std::size_t p : covering[pick]) {
+            for (std::size_t m = 0; m < spec.on.size(); ++m)
+                if (primes[p].covers(spec.on[m])) ++covered[m];
+            self(self, cost + 1000 + primes[p].literal_count());
+            for (std::size_t m = 0; m < spec.on.size(); ++m)
+                if (primes[p].covers(spec.on[m])) --covered[m];
+        }
+    };
+    dfs(dfs, 0);
+    return best;
+}
+
+std::size_t cover_cost(const cover& c) { return c.cubes.size() * 1000 + c.literal_count(); }
+
+}  // namespace
+
+TEST(cube, blocking_literals_match_single_drops) {
+    // The one-pass drop test against dropping each literal and scanning the
+    // OFF-set, on cubes of 7, 64 and 70 variables (one and two words).
+    for (std::size_t n : {7u, 64u, 70u}) {
+        xorshift64 rng(n * 131 + 7);
+        for (int trial = 0; trial < 20; ++trial) {
+            dyn_bitset centre(n);
+            for (std::size_t v = 0; v < n; ++v)
+                if (rng.next_bool()) centre.set(v);
+            cube c = cube::minterm(centre);
+            for (std::size_t v = 0; v < n; ++v)
+                if (rng.next_bool(0.6)) c.set_dc(v);
+            // OFF points near the cube, so that single-literal blocks occur.
+            std::vector<dyn_bitset> off;
+            for (int k = 0; k < 12; ++k) {
+                dyn_bitset o = centre;
+                for (std::size_t f = rng.next_below(3); f > 0; --f) o.flip(rng.next_below(n));
+                for (std::size_t v = 0; v < n; ++v)
+                    if (c.is_dc(v) && rng.next_bool()) o.flip(v);
+                off.push_back(std::move(o));
+            }
+            const dyn_bitset blocked = c.blocking_literals(off);
+            for (std::size_t v = 0; v < n; ++v) {
+                if (c.is_dc(v)) continue;
+                cube wider = c;
+                wider.set_dc(v);
+                bool hits = false;
+                for (const auto& o : off) hits = hits || wider.covers(o);
+                EXPECT_EQ(blocked.test(v), hits) << n << " vars, trial " << trial << ", v " << v;
+            }
+        }
+    }
+}
+
+class exact_oracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(exact_oracle, exact_cover_is_optimal_over_all_primes) {
+    // Whenever minimize_exact claims exactness, no cover by any prime
+    // implicant is cheaper than its answer -- so its prime enumeration missed
+    // no prime the optimum needs -- and a warm seed changes nothing.
+    const uint64_t seed = GetParam();
+    const std::size_t n = 3 + seed % 5;  // 3..7 variables
+    const auto spec = random_spec(n, seed * 7919 + 101, 0.25, 0.35);
+    bool exact = false;
+    const auto e = minimize_exact(spec, exact_limits{}, &exact);
+    ASSERT_TRUE(verify_cover(e, spec)) << "seed " << seed;
+    if (exact) {
+        const auto primes = brute_force_primes(spec);
+        const std::size_t bound = cover_cost(minimize_heuristic(spec, 4)) + 1;
+        EXPECT_EQ(cover_cost(e), optimal_prime_cover_cost(spec, primes, bound))
+            << "seed " << seed << ", " << n << " vars";
+    }
+    const auto seed_cover = minimize_heuristic(spec, 1);
+    bool warm_exact = false;
+    const auto warm = minimize_exact(spec, exact_limits{}, &warm_exact, &seed_cover);
+    EXPECT_EQ(warm_exact, exact) << "seed " << seed;
+    EXPECT_EQ(warm.cubes, e.cubes) << "seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(seeds, exact_oracle, ::testing::Range<uint64_t>(0, 60));
 
 // ---- incremental covers + literal bounds -----------------------------------
 

@@ -4,6 +4,9 @@
 //  * apply_move accepts/rejects exactly the moves forward_reduction does and
 //    produces the identical child subgraphs;
 //  * derived (delta) caches equal full rebuilds after arbitrary move chains;
+//  * the per-move group walk yields, for every signal, the key and the ON/OFF
+//    spec that derive_nextstate() gives on the materialised child, also past
+//    64 signals (two-word signal masks);
 //  * the whole search is equivalent on every embedded corpus spec, the spec
 //    suite and generated workloads -- identical best subgraph, best cost,
 //    exploration count, depth and per-level trace -- and the dominance
@@ -27,6 +30,7 @@
 #include "core/search.hpp"
 #include "explore/engine.hpp"
 #include "explore/move.hpp"
+#include "logic/synthesis.hpp"
 #include "pipeline/pipeline.hpp"
 #include "sg/analysis.hpp"
 
@@ -88,6 +92,37 @@ void expect_equal_caches(const explore::analysis_cache& a, const explore::analys
         EXPECT_EQ(a.signals[s].literals, b.signals[s].literals) << ctx_name << " signal " << s;
     }
     EXPECT_EQ(a.cost.value, b.cost.value) << ctx_name;
+}
+
+/// A 66-signal handshake chain: s0+ .. s63+, then x+ || y+, then s0- ..
+/// s63-, then x- || y-, cyclically.  Every signal mask spans two words, and
+/// the concurrent x/y pairs (signals 64 and 65) give pruning moves.
+stg wide_chain_spec() {
+    stg net;
+    std::vector<int32_t> chain;
+    for (int i = 0; i < 64; ++i)
+        chain.push_back(
+            static_cast<int32_t>(net.add_signal("s" + std::to_string(i), signal_kind::output)));
+    const auto x = static_cast<int32_t>(net.add_signal("x", signal_kind::output));
+    const auto y = static_cast<int32_t>(net.add_signal("y", signal_kind::output));
+    auto phase = [&](edge dir) {
+        std::vector<uint32_t> t;
+        for (int32_t sig : chain) t.push_back(net.add_transition({sig, dir, 0}));
+        for (std::size_t i = 0; i + 1 < t.size(); ++i) net.connect(t[i], t[i + 1]);
+        const uint32_t tx = net.add_transition({x, dir, 0});
+        const uint32_t ty = net.add_transition({y, dir, 0});
+        net.connect(t.back(), tx);
+        net.connect(t.back(), ty);
+        return std::make_tuple(t.front(), tx, ty);
+    };
+    const auto [up_first, xp, yp] = phase(edge::plus);
+    const auto [down_first, xm, ym] = phase(edge::minus);
+    net.connect(xp, down_first);
+    net.connect(yp, down_first);
+    net.connect(xm, up_first, 1);
+    net.connect(ym, up_first, 1);
+    net.model_name = "wide_chain";
+    return net;
 }
 
 }  // namespace
@@ -180,6 +215,83 @@ TEST(move, delta_score_and_derived_cache_match_full_rebuild) {
             cache = std::move(derived);
         }
     }
+}
+
+TEST(move, group_walk_matches_derive_nextstate) {
+    // Every applied move of the first two levels (all moves of the root, then
+    // all moves of its first child): each key score_move and bound_move
+    // report, each spec the walk hands the bounder and the minimiser, and
+    // each literal count must equal what the materialised child's
+    // derive_nextstate() gives.  The wide chain runs the two-word masks.
+    auto specs = equivalence_specs();
+    specs.push_back({"wide_chain", wide_chain_spec()});
+    std::size_t moves = 0, wide_moves = 0, specs_checked = 0;
+    for (const auto& [name, spec] : specs) {
+        auto base = make_sg(spec);
+        if (base.state_count() > 600) continue;
+        ++specs_checked;
+        cost_params p;
+        p.w = 0.5;
+        auto ctx = explore::make_context(base, p);
+        explore::literal_memo memo;
+        auto g = subgraph::full(base);
+        auto cache = explore::build_cache(ctx, g, &memo);
+        for (int level = 0; level < 2; ++level) {
+            std::optional<explore::applied_move> first_child;
+            std::optional<explore::move_score> first_score;
+            auto comps = excitation_regions(g);
+            for (const auto& a : comps) {
+                if (base.is_input_event(a.event)) continue;
+                for (const auto& b : comps) {
+                    if (&a == &b || a.event == b.event) continue;
+                    auto am = explore::apply_move(ctx, g, cache, a, b);
+                    if (!am) continue;
+                    const std::string where = name + " level " + std::to_string(level) + " " +
+                                              base.event_name(a.event) + "/" +
+                                              base.event_name(b.event);
+                    ++moves;
+                    if (name == "wide_chain") ++wide_moves;
+
+                    const auto walk = explore::child_walk(ctx, cache, *am);
+                    for (uint32_t x = 0; x < base.signals().size(); ++x) {
+                        if (!ctx.sig_events[x].estimated) continue;
+                        const auto ns = derive_nextstate(am->child, x);
+                        const auto spec_x = walk.spec(ctx, x);
+                        EXPECT_EQ(spec_x.nvars, ns.spec.nvars) << where;
+                        EXPECT_EQ(spec_x.on, ns.spec.on) << where << " signal " << x;
+                        EXPECT_EQ(spec_x.off, ns.spec.off) << where << " signal " << x;
+                        EXPECT_EQ(walk.key(ctx, x), explore::key_of_spec(ns.spec)) << where;
+                    }
+
+                    auto score = explore::score_move(ctx, g, cache, *am, memo);
+                    for (const auto& u : score.updates) {
+                        const auto ns = derive_nextstate(am->child, u.signal);
+                        EXPECT_EQ(u.key, explore::key_of_spec(ns.spec))
+                            << where << " signal " << u.signal;
+                        EXPECT_EQ(u.literals,
+                                  minimize_heuristic(ns.spec, p.minimize_passes).literal_count())
+                            << where << " signal " << u.signal;
+                    }
+                    auto eval = explore::bound_move(ctx, g, cache, *am, memo);
+                    ASSERT_EQ(eval.changed.size(), score.updates.size()) << where;
+                    for (const auto& ch : eval.changed)
+                        EXPECT_EQ(ch.key,
+                                  explore::key_of_spec(derive_nextstate(am->child, ch.signal).spec))
+                            << where << " signal " << ch.signal;
+                    if (!first_child) {
+                        first_child = std::move(am);
+                        first_score = std::move(score);
+                    }
+                }
+            }
+            if (!first_child) break;
+            cache = explore::derive_cache(ctx, g, cache, *first_child, *first_score);
+            g = first_child->child;
+        }
+    }
+    EXPECT_GT(specs_checked, 5u);
+    EXPECT_GT(moves, 0u);
+    EXPECT_GT(wide_moves, 0u);
 }
 
 // INSTANTIATE_TEST_SUITE_P below pins the sweep width; this test fails the

@@ -1,10 +1,14 @@
 // End-to-end pipeline integration: the Fig. 1 and MMU corpus entries through
 // the full parse -> expand -> sg -> reduce -> csc -> logic -> perf -> recover
-// flow, with cost monotonicity, per-stage timing bookkeeping and structured
-// error reporting.
+// flow, with cost monotonicity, per-stage timing bookkeeping, the phase
+// spans inside the reduce and logic stages, and structured error reporting.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "benchmarks/corpus.hpp"
+#include "obs/trace.hpp"
 #include "petri/astg_io.hpp"
 #include "pipeline/pipeline.hpp"
 
@@ -162,4 +166,23 @@ TEST(pipeline, summary_mentions_stages_and_outcome) {
     auto bad = run_pipeline_text("garbage", pipeline_options{});
     auto sbad = pipeline_summary(bad);
     EXPECT_NE(sbad.find("FAILED"), std::string::npos);
+}
+
+TEST(pipeline, phase_spans_run_once_per_level_and_per_signal) {
+    // explore.bound / explore.exact split each beam level, and logic.minimise
+    // covers each implemented signal: per level or per signal, never per
+    // candidate, and nested inside their stage spans.
+    obs::trace_session session;
+    session.start();
+    const auto r = run_pipeline(benchmarks::mmu_controller());
+    session.stop();
+    ASSERT_TRUE(r.completed);
+    ASSERT_TRUE(r.synth.ok);
+    std::map<std::string, std::size_t> count;
+    for (const auto& ev : session.events()) ++count[ev.name];
+    EXPECT_GT(count["explore.level"], 0u);
+    EXPECT_GT(count["explore.bound"], 0u);
+    EXPECT_LE(count["explore.bound"], count["explore.level"]);
+    EXPECT_EQ(count["explore.exact"], count["explore.bound"]);
+    EXPECT_EQ(count["logic.minimise"], r.synth.ckt.impls.size());
 }

@@ -201,6 +201,36 @@ TEST(service_engine, executes_misses_then_hits_with_accounting) {
     EXPECT_NE(json.find("\"store_hits\": 1"), std::string::npos);
 }
 
+TEST(service_engine, deadline_cut_anytime_results_are_not_cached) {
+    // A deadline-cut anytime search is an accident of the machine's speed:
+    // the store must not keep it under the request's key, so repeating the
+    // request runs the pipeline again (a miss, not a hit).
+    temp_dir dir("anytime");
+    service::service_options opt;
+    opt.store_dir = dir.path;
+    opt.jobs = 1;
+    service::engine eng(opt);
+    ASSERT_TRUE(eng.store().enabled()) << eng.store().message();
+
+    pipeline_options po = opt.pipeline;
+    po.search.quality = search_quality::anytime;
+    po.search.deadline_ms = 1;
+    const auto req = synth_request(benchmarks::mmu_controller(), po);
+    auto first = json_parse(eng.execute(req, 0.0));
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(first->get_bool("ok"));
+    EXPECT_EQ(first->get_string("store"), "miss");
+    // The multi-level search cannot finish inside 1 ms: the cut is reported
+    // as a nonzero bound gap.
+    ASSERT_GT(first->get_number("bound_gap"), 0.0);
+
+    auto second = json_parse(eng.execute(req, 0.0));
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->get_string("store"), "miss");
+    EXPECT_EQ(eng.stats().store_hits, 0u);
+    EXPECT_EQ(eng.stats().store_misses, 2u);
+}
+
 TEST(service_engine, astg_request_returns_the_recovered_stg) {
     // The `asynth client --out` contract: a synth request with "astg":true
     // carries the recovered STG text in the response -- on the cold miss AND

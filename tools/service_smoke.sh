@@ -121,10 +121,30 @@ grep -q '^\.model' lr_recovered.g || fail "recovered STG is not ASTG text: $(hea
 
 # Graceful drain on SIGTERM with work in flight: the listen socket stays
 # open, so health keeps answering ok:true while ready flips to false until
-# the backlog finishes.  --no-store keeps the backlog slow enough to probe.
+# the backlog finishes.  The backlog must outlast the arrival wait below by
+# a wide margin, whatever the synthesis speed: a four-way parallel fan-out
+# (2644 states, several hundred ms per run, against tens of ms for the
+# largest corpus spec) under --no-store, so every request really runs.
+cat > drain_fanout.g <<'EOF'
+.model drain_fanout
+.channels a b c d e
+.graph
+a? b! c! d! e!
+b! b?
+b? a!
+c! c?
+c? a!
+d! d?
+d? a!
+e! e?
+e? a!
+a! a?
+.marking { <a!,a?> }
+.end
+EOF
 DRAIN_PIDS=()
-for ((i = 0; i < 8; i++)); do
-    "$ASYNTH" client --socket "$SOCKET" --corpus mmu --no-store -q &
+for ((i = 0; i < 4; i++)); do
+    "$ASYNTH" client --socket "$SOCKET" --no-store -q drain_fanout.g &
     DRAIN_PIDS+=($!)
 done
 sleep 0.3  # let the requests reach the daemon's queue

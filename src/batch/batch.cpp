@@ -13,7 +13,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "perf/timing.hpp"
 #include "petri/astg_io.hpp"
 
 namespace asynth::batch {
@@ -43,7 +42,6 @@ void aggregate(batch_report& rep) {
         rep.total_literals += s.literals;
         if (s.synthesized) rep.total_area += s.area;
         rep.cpu_seconds += s.seconds;
-        rep.max_bound_gap = std::max(rep.max_bound_gap, s.bound_gap);
     }
     rep.failed = rep.count - rep.completed;
     if (rep.wall_seconds > 0.0)
@@ -173,8 +171,7 @@ spec_record record_of(const std::string& name, const pipeline_result& r) {
     out.timings = r.timings;
     out.impl_checked = r.impl_check.ok;
     out.impl_states = r.impl_check.states_visited;
-    out.quality = quality_name(r.search.quality);
-    out.bound_gap = r.search.bound_gap;
+    out.deadline_hit = r.search.deadline_hit;
     return out;
 }
 
@@ -207,8 +204,6 @@ spec_record record_of_stored(const std::string& name, const store::stored_record
             }
     out.impl_checked = rec.impl_checked;
     out.impl_states = rec.impl_states;
-    out.quality = rec.quality;
-    out.bound_gap = rec.bound_gap;
     out.store_hit = true;
     return out;
 }
@@ -234,7 +229,6 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
     // process-lifetime totals (several sweeps can share one process).
     const auto counters_before = obs::registry::global().counter_values();
 
-    stopwatch wall;
     if (!specs.empty()) {
         // done[i] tells the failure-path checkpoint which rows are safe to
         // read while other workers are still writing theirs.
@@ -248,7 +242,7 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
             for (std::size_t i = 0; i < specs.size(); ++i)
                 if (done[i].load(std::memory_order_acquire)) rows.push_back(rep.specs[i]);
             write_report_atomically(opt.checkpoint_file,
-                                    make_report(std::move(rows), jobs, wall.seconds()));
+                                    make_report(std::move(rows), jobs, sweep_sp.seconds()));
         };
 
         work_stealing_pool pool(jobs);
@@ -270,8 +264,8 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
                         }
                         auto result = run_pipeline(specs[i].net, opt.pipeline);
                         // Only *completed*, uncut runs are cached: a
-                        // crash-shaped failure (OOM, budget blowout) or an
-                        // anytime search cut by its deadline should be
+                        // crash-shaped failure (OOM, budget blowout) or a
+                        // search cut by its deadline should be
                         // retried next sweep, not replayed from disk forever.
                         // CSC "no circuit" verdicts complete and are cached
                         // -- the verdict is the result.
@@ -296,7 +290,7 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
             if (!rep.specs[i].completed) flush_checkpoint();
         });
     }
-    rep.wall_seconds = wall.seconds();
+    rep.wall_seconds = sweep_sp.seconds();
     aggregate(rep);
     rep.store_misses = opt.store.enabled() ? rep.count - rep.store_hits : 0;
     rep.counters = counter_delta(counters_before, obs::registry::global().counter_values());
@@ -315,7 +309,7 @@ batch_report make_report(std::vector<spec_record> specs, std::size_t jobs, doubl
 std::string report_json(const batch_report& r) {
     std::string out = "{\n  ";
     json_object top{out};
-    top.field("schema_version", std::size_t{5});
+    top.field("schema_version", std::size_t{6});
     top.field("tool", std::string("asynth batch"));
     top.field("jobs", r.jobs);
     top.field("count", r.count);
@@ -343,9 +337,6 @@ std::string report_json(const batch_report& r) {
     // (the emit/verify per-stage timings appear via the generic <stage>_ms
     // mechanism and the stage_percentiles block).
     top.field("impl_checked", r.impl_checked);
-    // schema_version 5 addition: the worst per-spec bound gap of the sweep
-    // (0 for exact sweeps -- check_bench_regression.py asserts exactly that).
-    top.field("max_bound_gap", r.max_bound_gap);
 
     // schema_version 4 addition: the metrics-registry counter block (sweep
     // deltas for run_batch, absolute totals for a service drain).
@@ -399,9 +390,8 @@ std::string report_json(const batch_report& r) {
         o.field("store_hit", s.store_hit);
         o.field("impl_checked", s.impl_checked);
         if (s.impl_checked) o.field("impl_states", s.impl_states);
-        // schema_version 5: the quality the search ran at and its bound gap.
-        o.field("quality", s.quality);
-        o.field("bound_gap", s.bound_gap);
+        // schema_version 6: a deadline cut this spec's search short.
+        o.field("deadline_hit", s.deadline_hit);
         for (const auto& t : s.timings) {
             std::string k = std::string(stage_name(t.stage)) + "_ms";
             o.field(k.c_str(), t.seconds * 1e3);
@@ -416,30 +406,16 @@ std::string report_json(const batch_report& r) {
 std::string report_text(const batch_report& r) {
     std::string out;
     char line[256];
-    // The gap column only appears when some spec ran at a non-exact quality:
-    // exact sweeps keep the historical table byte-for-byte.
-    bool any_gap = false;
-    for (const auto& s : r.specs) any_gap |= s.quality != "exact";
-    if (any_gap)
-        std::snprintf(line, sizeof line, "%-16s %7s %7s %6s %8s %8s %9s %6s  %s\n", "spec",
-                      "states", "explored", "csc", "area", "cycle", "ms", "gap", "verdict");
-    else
-        std::snprintf(line, sizeof line, "%-16s %7s %7s %6s %8s %8s %9s  %s\n", "spec", "states",
-                      "explored", "csc", "area", "cycle", "ms", "verdict");
+    std::snprintf(line, sizeof line, "%-16s %7s %7s %6s %8s %8s %9s  %s\n", "spec", "states",
+                  "explored", "csc", "area", "cycle", "ms", "verdict");
     out += line;
     for (const auto& s : r.specs) {
         const char* verdict = !s.completed ? "FAILED" : (s.synthesized ? "ok" : "no circuit");
-        if (any_gap)
-            std::snprintf(line, sizeof line,
-                          "%-16s %7zu %7zu %6zu %8.0f %8.1f %9.2f %6.1f  %s%s%s%s\n",
-                          s.name.c_str(), s.states, s.explored, s.csc_signals, s.area, s.cycle,
-                          s.seconds * 1e3, s.bound_gap, verdict, s.store_hit ? " (store)" : "",
-                          s.failed_stage.empty() ? "" : " at ", s.failed_stage.c_str());
-        else
-            std::snprintf(line, sizeof line, "%-16s %7zu %7zu %6zu %8.0f %8.1f %9.2f  %s%s%s%s\n",
-                          s.name.c_str(), s.states, s.explored, s.csc_signals, s.area, s.cycle,
-                          s.seconds * 1e3, verdict, s.store_hit ? " (store)" : "",
-                          s.failed_stage.empty() ? "" : " at ", s.failed_stage.c_str());
+        std::snprintf(line, sizeof line, "%-16s %7zu %7zu %6zu %8.0f %8.1f %9.2f  %s%s%s%s%s\n",
+                      s.name.c_str(), s.states, s.explored, s.csc_signals, s.area, s.cycle,
+                      s.seconds * 1e3, verdict, s.deadline_hit ? " (deadline hit)" : "",
+                      s.store_hit ? " (store)" : "", s.failed_stage.empty() ? "" : " at ",
+                      s.failed_stage.c_str());
         out += line;
     }
     std::snprintf(line, sizeof line,
@@ -448,10 +424,6 @@ std::string report_text(const batch_report& r) {
                   r.count, r.completed, r.synthesized, r.failed, r.total_states, r.jobs,
                   r.wall_seconds, r.cpu_seconds, r.specs_per_second);
     out += line;
-    if (any_gap) {
-        std::snprintf(line, sizeof line, "quality: max bound gap %.1f\n", r.max_bound_gap);
-        out += line;
-    }
     if (r.store_hits + r.store_misses > 0) {
         std::snprintf(line, sizeof line, "store: %zu hits, %zu misses\n", r.store_hits,
                       r.store_misses);

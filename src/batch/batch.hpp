@@ -10,7 +10,7 @@
 // apart from the timing fields.
 //
 // report_json() serialises the report in a schema-stable layout
-// (schema_version 5) written as BENCH_pipeline.json by `asynth batch
+// (schema_version 6) written as BENCH_pipeline.json by `asynth batch
 // --report`; the checked-in BENCH_pipeline.json at the repo root is the perf
 // baseline subsequent PRs measure against.  Version 2 added the result-store
 // hit/miss aggregates and the service's queue-wait percentiles on top of
@@ -18,10 +18,9 @@
 // and the emit/verify per-stage timings; version 4 adds the "counters" block
 // -- the process-wide metrics registry (src/obs/) snapshotted around the
 // sweep, so BENCH runs carry explored/pruned/memo-hit/store counters, not
-// just timings; version 5 adds the search-quality dial: per-spec "quality" /
-// "bound_gap" fields and the aggregate "max_bound_gap" (all trivial --
-// "exact" and 0 -- for exact sweeps).  tools/check_bench_regression.py reads
-// all five.
+// just timings; version 5 added the fields of a since-removed search-quality
+// dial; version 6 replaces them with a per-spec "deadline_hit" flag.
+// tools/check_bench_regression.py reads all six.
 //
 // With batch_options::store set (CLI: --store DIR), the sweep is *resumable*:
 // each spec is first looked up in the content-addressed result store
@@ -89,11 +88,10 @@ struct spec_record {
     bool store_hit = false;     ///< record served from the result store
     bool impl_checked = false;  ///< verify stage emulated the netlist and agreed
     std::size_t impl_states = 0;  ///< states the emulation walk visited
-    /// Search-quality dial (v5): the quality the search actually ran at and
-    /// the bound gap it reported ("exact"/0 for exact runs -- see
-    /// search_result::bound_gap for the gap semantics).
-    std::string quality = "exact";
-    double bound_gap = 0.0;
+    /// A search deadline cut the search short (v6); the row then holds the
+    /// best-so-far result.  Always false for store hits: cut runs are never
+    /// cached.
+    bool deadline_hit = false;
 };
 
 /// Wall-clock distribution of one pipeline stage across the sweep.
@@ -133,7 +131,6 @@ struct batch_report {
     double queue_wait_p90_ms = 0.0;
     double queue_wait_max_ms = 0.0;
     std::size_t impl_checked = 0;    ///< specs whose netlist emulated clean (v3)
-    double max_bound_gap = 0.0;      ///< worst per-spec bound gap of the sweep (v5)
     /// Metrics-registry counters (v4), name-sorted.  run_batch fills deltas
     /// accumulated across the sweep; the service's drain report fills the
     /// absolute process totals.
@@ -163,15 +160,16 @@ struct batch_report {
 [[nodiscard]] batch_report make_report(std::vector<spec_record> specs, std::size_t jobs,
                                        double wall_seconds);
 
-/// Schema-stable JSON serialisation of the report (schema_version 5): fixed
+/// Schema-stable JSON serialisation of the report (schema_version 6): fixed
 /// key order, aggregate block first, then the counters block, then stage
 /// percentiles, then one object per spec.  This is the BENCH_pipeline.json
 /// format.  v2 = v1 plus store_hits/store_misses, the queue_wait_*
 /// percentiles and per-spec store_hit flags; v3 = v2 plus the impl_checked
 /// aggregates/flags and the emit/verify stage timings; v4 = v3 plus the
-/// "counters" object (metrics-registry snapshot); v5 = v4 plus
-/// "max_bound_gap" and the per-spec "quality"/"bound_gap" fields.  Readers
-/// that index specs[] keep working across versions.
+/// "counters" object (metrics-registry snapshot); v5 = v4 plus the fields of
+/// a since-removed search-quality dial; v6 = v4 plus the per-spec
+/// "deadline_hit" flag.  Readers that index specs[] keep
+/// working across versions.
 [[nodiscard]] std::string report_json(const batch_report& r);
 
 /// Compact per-spec table plus the aggregate line, for terminal output.

@@ -17,12 +17,7 @@ search_result run_reduction(const subgraph& initial, reduction_strategy strategy
         case reduction_strategy::beam:
             // Engine dispatch: both engines walk the same beam and return the
             // same result; `incremental` (the default) just does less work.
-            // The non-exact qualities exist only in the incremental engine,
-            // so they override --engine: the reference engine stays the
-            // unmodified exactness oracle.  none/full ignore quality (there
-            // is no beam to bound and nothing mid-flight worth returning).
-            return opt.engine == search_engine::reference &&
-                           opt.quality == search_quality::exact
+            return opt.engine == search_engine::reference
                        ? reduce_concurrency(initial, opt)
                        : explore::reduce_concurrency_incremental(initial, opt);
         case reduction_strategy::full:

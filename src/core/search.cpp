@@ -32,15 +32,6 @@ bool pair_alive(const state_graph& b, const std::vector<er_component>& comps, co
 
 }  // namespace
 
-const char* quality_name(search_quality q) {
-    switch (q) {
-        case search_quality::exact: return "exact";
-        case search_quality::bounded: return "bounded";
-        case search_quality::anytime: return "anytime";
-    }
-    return "exact";
-}
-
 bool is_kept_pair(const std::vector<std::pair<sg_event, sg_event>>& keep, const sg_event& a,
                   const sg_event& b) {
     for (const auto& [k1, k2] : keep)

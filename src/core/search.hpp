@@ -54,40 +54,6 @@ enum class minimizer_mode : uint8_t {
     incremental,
 };
 
-/// The quality dial of the exploration (CLI: --quality).  Unlike `engine` and
-/// `minimizer` -- which are pure implementation knobs with bit-identical
-/// results -- this knob is allowed to trade exactness for speed: anytime
-/// genuinely truncates the search, and bounded's exactness rests on its gap
-/// certificate rather than on exhaustive scoring.  It therefore joins the
-/// result-store options fingerprint so approximate results never poison
-/// exact cache entries.
-enum class search_quality : uint8_t {
-    /// Today's behaviour: dominance lower bounds never prune into selection.
-    /// Bit-identical to every previous release; `bound_gap` is always 0.
-    exact,
-    /// Bound-aware beam: candidates are provisionally admitted on their
-    /// `incremental_cover` lower bounds, the provisional beam is refined with
-    /// exact minimisation, and refinement then widens lazily to exactly the
-    /// candidates whose lower bound could still change the selected beam.
-    /// At that fixpoint every never-refined candidate is provably outside
-    /// the beam, so the selection equals exact search's and the *achieved*
-    /// gap -- accounted per level in `search_result::level_gap` and summed
-    /// into `bound_gap` -- is 0 whenever the bounds are sound.  The gap is
-    /// the mode's certificate, not an expected loss: a nonzero value means a
-    /// bound under-estimated, and the bounded-vs-exact fuzz oracle treats
-    /// any divergence beyond it as a finding.
-    bounded,
-    /// The exact admission path plus a wall-clock deadline
-    /// (`search_options::deadline_ms`) checked between levels: when time
-    /// expires the best-so-far subgraph is returned with `deadline_hit` set
-    /// and a trivial sound gap (the remaining distance to the cost floor 0).
-    /// With a generous deadline the result is bit-identical to `exact`.
-    anytime,
-};
-
-/// Readable name of a quality mode ("exact" / "bounded" / "anytime").
-[[nodiscard]] const char* quality_name(search_quality q);
-
 /// Knobs of the Fig. 9 exploration.
 struct search_options {
     /// Beam width: candidates kept per level (the paper's size_frontier).
@@ -99,22 +65,25 @@ struct search_options {
     cost_params cost;
     /// Unordered pairs whose concurrency must be preserved (Keep_Conc).
     std::vector<std::pair<sg_event, sg_event>> keep_concurrent;
-    /// Engine selection for the beam strategy (CLI: --engine).
+    /// Engine selection for the beam strategy.  Not a product knob: the
+    /// default incremental engine is the one search path, and `reference`
+    /// stays reachable only for tests, the `engines` fuzz oracle and
+    /// bench/reduce_search.
     search_engine engine = search_engine::incremental;
-    /// Candidate-scoring strategy of the incremental engine (CLI:
-    /// --minimizer).  Results are identical; only wall-clock changes.
+    /// Candidate-scoring strategy of the incremental engine.  Results are
+    /// identical; `exact` is kept only as the oracle of the `minimizers` fuzz
+    /// oracle, tests/test_explore.cpp and bench/reduce_search.
     minimizer_mode minimizer = minimizer_mode::incremental;
     /// Worker threads for the incremental engine's frontier expander; <= 1
     /// runs serially.  Results are identical for every value (the expander
     /// merges in a deterministic order); only wall-clock changes.
     std::size_t jobs = 1;
-    /// Exactness/speed trade-off (CLI: --quality).  Non-exact qualities run
-    /// on the incremental engine regardless of `engine` (the reference engine
-    /// stays the exactness oracle); the none/full strategies ignore this.
-    search_quality quality = search_quality::exact;
-    /// Wall-clock budget in milliseconds for search_quality::anytime; 0 means
-    /// no deadline.  Checked between levels, outside all parallel regions, so
-    /// the jobs-independence of the admission path is untouched.
+    /// Wall-clock budget in milliseconds (CLI: --deadline); 0 means no
+    /// deadline.  The incremental engine checks it between levels, outside
+    /// all parallel regions, so the jobs-independence of the admission path
+    /// is untouched; a search the deadline does not cut is bit-identical to
+    /// an undeadlined one.  The reference engine and the none/full
+    /// strategies ignore it.
     std::size_t deadline_ms = 0;
 };
 
@@ -132,26 +101,8 @@ struct search_result {
     /// and with jobs > 1 this one field may vary run-to-run (benign memo
     /// races shift how much work the filter skips, never what is selected).
     std::size_t pruned = 0;
-    /// Echo of search_options::quality -- lets downstream consumers (batch
-    /// records, the store, reports) label the result without re-plumbing the
-    /// options next to it.
-    search_quality quality = search_quality::exact;
-    /// Sound upper bound on how far `best_cost.value` may sit above the best
-    /// cost this run *could* have reached had nothing been bound-pruned or
-    /// deadline-cut: the sum of `level_gap`.  Always 0 for quality::exact.
-    /// Note the bound is relative to the configurations this run generated --
-    /// beam search is itself a heuristic, so no mode bounds the distance to
-    /// the global optimum.
-    double bound_gap = 0.0;
-    /// Per-level price of bound-pruning: for each level, how far the selected
-    /// level-best exact cost sits above the smallest never-refined optimistic
-    /// bound (0 when no pruned candidate could have beaten the selection --
-    /// which refinement to the fixpoint guarantees for sound bounds).
-    /// Parallel to `level_best`; populated only by quality::bounded.
-    std::vector<double> level_gap;
-    /// Did an anytime deadline cut the search short?  When set, `bound_gap`
-    /// holds the trivial sound bound `best_cost.value` (distance to the cost
-    /// floor 0).  Always false for exact/bounded.
+    /// Did `deadline_ms` cut the search short?  When set, `best` is the
+    /// best-so-far configuration of the levels that did run.
     bool deadline_hit = false;
     /// The incremental engine's search-global spec memo (exact heuristic
     /// covers per signal spec key), kept alive so downstream stages can

@@ -51,9 +51,7 @@ void run_tasks(batch::work_stealing_pool* pool, std::size_t n, Body&& body,
 constexpr std::size_t kParallelExact = 2;
 
 /// Process-wide search counters, accumulated once per finished search.
-/// @p refined counts the bounded-quality provisional beam members that were
-/// exactly refined (0 outside quality::bounded).
-void count_search(const search_result& r, std::size_t refined = 0) {
+void count_search(const search_result& r) {
     auto& reg = obs::registry::global();
     static obs::counter& explored =
         reg.get_counter("asynth_explore_explored_total", "Unique candidate SGs scored");
@@ -61,16 +59,6 @@ void count_search(const search_result& r, std::size_t refined = 0) {
         "asynth_explore_pruned_total", "Candidates discarded on bounds without exact scoring");
     explored.add(r.explored);
     pruned.add(r.pruned);
-    static obs::counter& refined_total = reg.get_counter(
-        "asynth_explore_refined_total",
-        "Bounded-quality provisional beam members refined by exact minimisation");
-    refined_total.add(refined);
-    if (r.quality == search_quality::bounded) {
-        static obs::histogram& gap = reg.get_histogram(
-            "asynth_explore_bound_gap", {0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0},
-            "Final bound gap reported by bounded-quality searches");
-        gap.observe(r.bound_gap);
-    }
 }
 
 }  // namespace
@@ -81,10 +69,8 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
     // search keeps that invariant thereafter).  A hand-built SG that is not
     // falls back to the reference engine, whose full per-candidate
     // speed-independence recheck handles it -- the engines stay equivalent
-    // on every input, not just well-formed ones.
-    // The fallback ignores the quality dial: the reference engine is the
-    // exact path, so the result is labelled exact with a zero gap -- an
-    // exact answer under a non-exact request is always sound.
+    // on every input, not just well-formed ones.  The fallback ignores the
+    // deadline, like every reference-engine run.
     if (!check_speed_independence(initial).output_persistent) {
         search_result res = reduce_concurrency(initial, options);
         count_search(res);
@@ -114,8 +100,6 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
     res.best = initial;
     res.explored = 1;
     res.memo = memo_ptr;
-    res.quality = opt.quality;
-    std::size_t refined = 0;  // bounded-quality exact refinements (obs only)
     const auto search_start = std::chrono::steady_clock::now();
 
     std::vector<node> frontier(1);
@@ -126,15 +110,11 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
     std::unordered_set<hash128> transposition{initial.signature128()};
 
     for (std::size_t level = 0; level < opt.max_levels && !frontier.empty(); ++level) {
-        // ---- anytime deadline, checked between levels only (outside every
-        // parallel region, so jobs-independence of the admission path is
-        // untouched).  The trivial bound best_cost - 0 is sound: no
-        // unexplored configuration can cost less than the cost floor 0.
-        if (opt.quality == search_quality::anytime && opt.deadline_ms > 0 &&
-            std::chrono::steady_clock::now() - search_start >=
-                std::chrono::milliseconds(opt.deadline_ms)) {
+        // ---- deadline, checked between levels only (outside every parallel
+        // region, so jobs-independence of the admission path is untouched).
+        if (opt.deadline_ms > 0 && std::chrono::steady_clock::now() - search_start >=
+                                       std::chrono::milliseconds(opt.deadline_ms)) {
             res.deadline_hit = true;
-            res.bound_gap = res.best_cost.value;
             break;
         }
         obs::span lsp("explore.level", "explore");
@@ -192,12 +172,7 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
         // cannot enter the beam without ever minimising them.
         std::vector<move_score> scores(unique.size());
         std::vector<uint32_t> admitted;
-        // Smallest optimistic cost among this level's never-refined
-        // candidates (bounded quality only): the gap accounting below
-        // measures the selection against it.
-        std::optional<double> min_pruned_lo;
-        const bool bounded = opt.quality == search_quality::bounded;
-        if (!bounded && opt.minimizer == minimizer_mode::exact) {
+        if (opt.minimizer == minimizer_mode::exact) {
             obs::span esp("explore.exact", "explore");
             esp.arg("scored", static_cast<std::uint64_t>(unique.size()));
             run_tasks(pool, unique.size(), [&](std::size_t k) {
@@ -222,18 +197,15 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
             obs::span esp("explore.exact", "explore");
 
             // ---- phase 3b: exactly score the beam-width most promising
-            // candidates to establish the admission cost.  The dominance
-            // filter seeds by the *upper* bound (a guaranteed-achievable
-            // cost makes the tightest threshold); bounded quality seeds by
-            // the *lower* bound -- the provisional beam the mode admits on.
-            // Seeding only affects how tight the initial threshold is, never
-            // which candidates the beam finally selects.
+            // candidates to establish the admission cost.  Seeding by the
+            // *upper* bound (a guaranteed-achievable cost) makes the tightest
+            // threshold; seeding only affects how tight the initial threshold
+            // is, never which candidates the beam finally selects.
             std::vector<uint32_t> by_hi(unique.size());
             std::iota(by_hi.begin(), by_hi.end(), 0u);
             std::stable_sort(by_hi.begin(), by_hi.end(), [&](uint32_t x, uint32_t y) {
-                const double vx = bounded ? evals[x].value_lo : evals[x].value_hi;
-                const double vy = bounded ? evals[y].value_lo : evals[y].value_hi;
-                if (vx != vy) return vx < vy;
+                if (evals[x].value_hi != evals[y].value_hi)
+                    return evals[x].value_hi < evals[y].value_hi;
                 return applied[unique[x]]->sig < applied[unique[y]]->sig;
             });
             const std::size_t nseed = std::min(by_hi.size(), opt.size_frontier);
@@ -248,8 +220,7 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
             admitted.assign(by_hi.begin(), by_hi.begin() + static_cast<std::ptrdiff_t>(nseed));
 
             // ---- phase 3c: lazy refinement to the no-displacement fixpoint
-            // (the dominance prune; bounded quality runs the identical loop
-            // from its lower-bound seed).  A candidate whose optimistic
+            // (the dominance prune).  A candidate whose optimistic
             // cost is strictly worse than `size_frontier` exact scores cannot
             // be among the `size_frontier` best (ties keep their signature
             // chance, so only strict inequality prunes).  The remaining
@@ -299,16 +270,6 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
                 }
                 admitted.insert(admitted.end(), chunk.begin(), chunk.end());
             }
-            if (bounded) {
-                // Everything left in `rest` was pruned on its bound without
-                // refinement; the cheapest such bound feeds the gap
-                // accounting after selection (at the fixpoint it exceeds the
-                // admission cost, so the achieved gap is 0 -- unless a bound
-                // was unsound, which the gap would then report rather than
-                // silently absorb).
-                refined += admitted.size();
-                if (i < rest.size()) min_pruned_lo = evals[rest[i]].value_lo;
-            }
             std::sort(admitted.begin(), admitted.end());
             res.pruned += unique.size() - admitted.size();
             esp.arg("scored", static_cast<std::uint64_t>(admitted.size()));
@@ -317,11 +278,9 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
         lsp.arg("admitted", static_cast<std::uint64_t>(admitted.size()));
 
         // ---- phase 4: deterministic beam selection -- cost, then signature.
-        // Restricting the sort to the admitted set is exact in every mode:
-        // every pruned candidate was proved strictly worse than
-        // `size_frontier` admitted ones, so the selected prefix is identical
-        // to the full sort's.  Bounded quality additionally prices its
-        // pruning below -- the gap is 0 whenever the bounds were sound.
+        // Restricting the sort to the admitted set is exact: every pruned
+        // candidate was proved strictly worse than `size_frontier` admitted
+        // ones, so the selected prefix is identical to the full sort's.
         std::vector<uint32_t> order = admitted;
         std::stable_sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
             if (scores[x].cost.value != scores[y].cost.value)
@@ -335,20 +294,6 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
         if (scores[order[0]].cost.value < res.best_cost.value) {
             res.best = applied[unique[order[0]]]->child;
             res.best_cost = scores[order[0]].cost;
-        }
-        if (bounded) {
-            // The cheapest never-refined candidate had exact cost >=
-            // min_pruned_lo (the lower bound is sound), so the level's price
-            // is at most level_best - min_pruned_lo when that is positive.
-            // At the refinement fixpoint min_pruned_lo exceeds the admission
-            // cost and the achieved gap is exactly 0; a nonzero entry here
-            // means a bound under-estimated -- reported, never hidden.
-            const double gap =
-                min_pruned_lo
-                    ? std::max(0.0, scores[order[0]].cost.value - *min_pruned_lo)
-                    : 0.0;
-            res.level_gap.push_back(gap);
-            res.bound_gap += gap;
         }
 
         // ---- phase 5: survivors derive their caches and become the frontier.
@@ -366,7 +311,7 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
             kParallelExact);
         frontier = std::move(next);
     }
-    count_search(res, refined);
+    count_search(res);
     return res;
 }
 

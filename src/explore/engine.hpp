@@ -1,5 +1,5 @@
-// The incremental Fig. 9 exploration engine (the `--engine incremental`
-// default).  Same beam, same results as core/search's reference engine --
+// The incremental Fig. 9 exploration engine (the default and only product
+// search path).  Same beam, same results as core/search's reference engine --
 // the per-level candidate set, every candidate's cost, the deterministic
 // (cost, signature) beam order and therefore search_result are identical;
 // tests/test_explore.cpp pins the equivalence over the whole corpus.
@@ -24,16 +24,11 @@
 //    merges in enumeration order, so results are independent of the job
 //    count.
 //
-// The bit-for-bit equivalence guarantee above is scoped to
-// search_options::quality == exact (the default).  `--quality bounded`
-// admits the beam provisionally on optimistic lower bounds, lazily refines
-// every candidate that could still change the selection, and certifies the
-// outcome in search_result::bound_gap / level_gap -- 0 at the refinement
-// fixpoint, so its results match exact search whenever the bounds are sound;
-// `--quality anytime` keeps the exact admission path but may cut the search
-// at a level boundary when the wall-clock deadline expires (deadline_hit).
-// Both non-exact qualities run on this engine only -- the reference engine
-// stays the exactness oracle.  See docs/SEARCH.md for the gap semantics.
+// The one knob that may change the result is search_options::deadline_ms:
+// when the wall-clock deadline expires the search stops at a level boundary
+// and returns the best-so-far configuration with deadline_hit set.  A search
+// the deadline does not cut is bit-identical to an undeadlined one.  Only
+// this engine honours the deadline; see docs/SEARCH.md.
 #pragma once
 
 #include "core/search.hpp"

@@ -80,13 +80,6 @@ struct move_score {
 /// already-exact scores can be discarded without ever minimising.  value_hi
 /// is only a seeding heuristic (the heuristic minimiser may exceed it) and
 /// must never be used to prune.
-///
-/// search_quality::bounded seeds its provisional beam on value_lo instead of
-/// value_hi and then widens refinement to the same no-displacement fixpoint
-/// as the dominance filter; the per-level price of anything never refined is
-/// quantified into search_result::level_gap (sound because value_lo is
-/// sound, and 0 at the fixpoint; see engine.cpp).  The value_hi never-prune
-/// rule holds in every mode.
 struct move_eval {
     std::size_t csc = 0;     ///< exact Delta-adjusted csc_pairs of the child
     std::size_t states = 0;  ///< child live states

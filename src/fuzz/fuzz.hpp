@@ -1,15 +1,12 @@
 // Deterministic differential fuzzing of the synthesis pipeline.
 //
-// The library now has seven pairs of "must agree" paths, each pinned
+// The library now has six pairs of "must agree" paths, each pinned
 // only on the fixed BENCH corpus until this harness: the reference vs the
 // incremental Fig. 9 engine, the exact vs the dominance-filtered minimiser,
 // the cold vs warm result-store round trip, pipeline verdicts under
-// write_astg∘parse, the CSP front end vs directly built STGs, the
+// write_astg∘parse, the CSP front end vs directly built STGs, and the
 // emitted implementation replayed under speed-independent semantics vs the
-// encoded state graph (netlist/emulate.hpp), and bounded-quality search
-// against exact search (full result equality modulo search.pruned plus the
-// gap invariants -- bounded refines to the dominance fixpoint, so its gap
-// certificate must be exactly 0; see docs/SEARCH.md).  run_fuzz
+// encoded state graph (netlist/emulate.hpp).  run_fuzz
 // drives randomly generated specifications (benchmarks/generate.hpp,
 // including the arbitration / multi-way choice / counter families) through
 // one oracle per iteration and reports every disagreement.
@@ -59,9 +56,8 @@ enum class oracle : uint8_t {
     text_roundtrip,   ///< pipeline verdict stability under write_astg∘parse
     csp_frontend,     ///< rendered CSP text vs directly built STG (LTS equality)
     impl_vs_sg,       ///< emitted netlist emulated against the encoded state graph
-    bounded_vs_exact, ///< bounded-quality search vs exact: structure + gap invariants
 };
-inline constexpr std::size_t oracle_count = 7;
+inline constexpr std::size_t oracle_count = 6;
 inline constexpr uint32_t all_oracles = (1u << oracle_count) - 1;
 
 [[nodiscard]] constexpr uint32_t oracle_bit(oracle o) noexcept {

@@ -1,4 +1,4 @@
-// The seven differential oracles and the result/record diffing they share.
+// The six differential oracles and the result/record diffing they share.
 //
 // Design rule: compare EVERYTHING deterministic, not just the headline cost.
 // A wrong engine that happens to land on an equal-cost configuration still
@@ -109,7 +109,6 @@ const char* oracle_name(oracle o) noexcept {
         case oracle::text_roundtrip: return "text-roundtrip";
         case oracle::csp_frontend: return "csp-frontend";
         case oracle::impl_vs_sg: return "impl-vs-sg";
-        case oracle::bounded_vs_exact: return "bounded-vs-exact";
     }
     return "?";
 }
@@ -121,7 +120,6 @@ std::optional<oracle> oracle_from_name(std::string_view name) noexcept {
     }
     // Underscore spellings match the enum names in docs and error messages.
     if (name == "impl_vs_sg") return oracle::impl_vs_sg;
-    if (name == "bounded_vs_exact") return oracle::bounded_vs_exact;
     return std::nullopt;
 }
 
@@ -357,51 +355,6 @@ std::string check_oracle(oracle o, const stg& spec, fuzz_profile profile,
             if (inject_net) inject_net(nl);
             auto em = emulate_against_sg(nl, subgraph::full(r.csc.graph));
             return em.ok ? "" : "implementation diverges from state graph: " + em.message;
-        }
-        case oracle::bounded_vs_exact: {
-            // Bounded quality refines lazily to the no-displacement fixpoint,
-            // so when its lower bounds are sound the selected beam -- and
-            // with it the whole pipeline result -- equals exact search's,
-            // with bound_gap 0 as the certificate (docs/SEARCH.md).  The
-            // oracle asserts exactly that: full result equality modulo
-            // search.pruned (which counts skipped work, not what was
-            // selected), no gap machinery on the exact run, and a correctly
-            // labelled, internally consistent, zero gap on the bounded run.
-            // An under-estimating bound surfaces here twice over: as a
-            // result difference and as a nonzero gap.
-            pipeline_options ex = profile_options(profile);
-            pipeline_options bd = profile_options(profile);
-            bd.search.quality = search_quality::bounded;
-            if (inject) inject(bd);
-            auto ra = run_pipeline(spec, ex);
-            auto rb = run_pipeline(spec, bd);
-            if (auto d = diff_results(ra, rb, /*ignore_pruned=*/true); !d.empty()) return d;
-
-            const search_result& se = ra.search;
-            const search_result& sb = rb.search;
-            if (se.bound_gap != 0.0 || !se.level_gap.empty() || se.deadline_hit)
-                return "exact run reported gap machinery (bound_gap " +
-                       std::to_string(se.bound_gap) + ", " +
-                       std::to_string(se.level_gap.size()) + " level gaps)";
-            if (sb.deadline_hit) return "bounded run reports a deadline hit";
-            if (sb.quality == search_quality::exact)
-                // Non-beam profiles (shallow: reduction off) and the
-                // non-output-persistent fallback answer through the exact
-                // path whatever quality was asked for; sound, but then no
-                // gap machinery may appear either.
-                return sb.bound_gap == 0.0 && sb.level_gap.empty()
-                           ? ""
-                           : "exact-labelled result carries gap machinery";
-            if (sb.quality != search_quality::bounded)
-                return std::string("bounded run labelled ") + quality_name(sb.quality);
-            if (sb.level_gap.size() != sb.levels)
-                return "gap bookkeeping out of step: " + std::to_string(sb.level_gap.size()) +
-                       " level gaps for " + std::to_string(sb.levels) + " levels";
-            for (double g : sb.level_gap)
-                if (g != 0.0) return "nonzero per-level gap " + std::to_string(g);
-            if (sb.bound_gap != 0.0)
-                return "nonzero bound_gap " + std::to_string(sb.bound_gap);
-            return "";
         }
         case oracle::csp_frontend:
             return "check_oracle cannot run the CSP oracle from a net alone; "

@@ -17,31 +17,12 @@
 // critical cycle.
 #pragma once
 
-#include <chrono>
 #include <string>
 #include <vector>
 
 #include "sg/state_graph.hpp"
 
 namespace asynth {
-
-/// Monotonic wall-clock stopwatch used for per-stage pipeline timings.
-/// (Distinct from the *model* time units of delay_model below: the stopwatch
-/// measures real elapsed seconds of this process.)
-class stopwatch {
-public:
-    stopwatch() : start_(clock::now()) {}
-    /// Restarts the measurement from now.
-    void restart() { start_ = clock::now(); }
-    /// Elapsed wall-clock time since construction/restart, in seconds.
-    [[nodiscard]] double seconds() const {
-        return std::chrono::duration<double>(clock::now() - start_).count();
-    }
-
-private:
-    using clock = std::chrono::steady_clock;
-    clock::time_point start_;
-};
 
 /// Event delay assignment for the timed simulation.  All delays are in the
 /// paper's abstract *time units* (Table 1 normalises an output gate delay

@@ -291,9 +291,8 @@ std::string pipeline_summary(const pipeline_result& r) {
         emit("reduction: cost %.1f -> %.1f, %zu states / %zu arcs live, %zu SGs explored\n",
              r.initial_cost.value, r.reduced_cost.value, r.reduced.live_state_count(),
              r.reduced.live_arc_count(), r.search.explored);
-        if (r.search.quality != search_quality::exact)
-            emit("quality: %s, bound gap %.1f%s\n", quality_name(r.search.quality),
-                 r.search.bound_gap, r.search.deadline_hit ? " (deadline hit)" : "");
+        if (r.search.deadline_hit)
+            emit("deadline hit: best-so-far result after %zu level(s)\n", r.search.levels);
     }
     if (r.csc.signals_inserted > 0 || r.csc.solved) {
         emit("csc: %s, %zu signal(s) inserted\n", r.csc.solved ? "solved" : "UNSOLVED",

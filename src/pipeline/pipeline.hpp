@@ -14,7 +14,7 @@
 //   verify  implementation-vs-SG emulation         (netlist/emulate)
 //
 // Unlike core/flow (which the benches drive and which aborts by exception),
-// the pipeline never throws: every stage runs under a wall-clock stopwatch
+// the pipeline never throws: every stage runs under a timed trace span
 // and converts asynth::error into a structured (failed stage, diagnostic)
 // pair in the result, so callers -- the asynth CLI, tests, future services --
 // can report failures without a try/catch of their own.
@@ -75,7 +75,7 @@ inline constexpr pipeline_stage pipeline_stage_last = pipeline_stage::verify;
 /// Wall-clock cost of one executed stage.
 struct stage_timing {
     pipeline_stage stage = pipeline_stage::parse;
-    double seconds = 0.0;  ///< wall-clock seconds (perf/timing stopwatch)
+    double seconds = 0.0;  ///< wall-clock seconds (the stage's trace span)
 };
 
 /// Everything the pipeline can be asked to do.  Defaults reproduce the

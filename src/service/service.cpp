@@ -6,7 +6,6 @@
 
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
-#include "perf/timing.hpp"
 #include "petri/astg_io.hpp"
 
 namespace asynth::service {
@@ -96,17 +95,7 @@ double percentile(const std::vector<double>& sorted, double q) {
         if (v->k != json_value::kind::boolean) return bad("'verify' must be a boolean");
         opt.verify_impl = v->b;
     }
-    if (const json_value* v = msg.find("quality")) {
-        if (v->k != json_value::kind::string) return bad("'quality' must be a string");
-        if (v->str == "exact") opt.search.quality = search_quality::exact;
-        else if (v->str == "bounded") opt.search.quality = search_quality::bounded;
-        else if (v->str == "anytime") opt.search.quality = search_quality::anytime;
-        else return bad("'quality' must be exact|bounded|anytime");
-    }
-    if (!positive_int("deadline_ms", opt.search.deadline_ms, 0)) return false;
-    if (opt.search.deadline_ms > 0 && opt.search.quality != search_quality::anytime)
-        return bad("'deadline_ms' requires 'quality': \"anytime\"");
-    return true;
+    return positive_int("deadline_ms", opt.search.deadline_ms, 0);
 }
 
 }  // namespace
@@ -185,7 +174,6 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
     obs::span sp("service.request", "service");
     sp.arg("queue_ms", queue_wait_ms);
     if (!req.req_id.empty()) sp.arg("req_id", req.req_id);
-    stopwatch sw;
 
     // The parse stage runs inside run_pipeline_text; for the store key the
     // text must be canonicalised first (write∘parse fixpoint), so parse once
@@ -200,6 +188,7 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
 
     std::optional<store::stored_record> rec;
     bool hit = false;
+    bool deadline_hit = false;  // only a fresh run can be cut: cut runs are never stored
     std::optional<store::store_key> key;
     std::string fingerprint;
     if (spec) {
@@ -214,14 +203,15 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         if (!rec) {
             auto result = run_pipeline(*spec, req.options);
             auto fresh = store::record_of(result, fingerprint);
+            deadline_hit = result.search.deadline_hit;
             // Cache only completed, uncut runs (failures and deadline-cut
-            // anytime searches retry next time).
+            // searches retry next time).
             if (key && store::cacheable(result)) store_.put(*key, fresh);
             rec = std::move(fresh);
         }
     }
 
-    const double service_ms = sw.seconds() * 1e3;
+    const double service_ms = sp.seconds() * 1e3;
 
     // ---- response line ----------------------------------------------------
     json_line line;
@@ -251,12 +241,9 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         line.field("synth_seconds", rec->seconds);
         line.field("queue_ms", queue_wait_ms);
         line.field("service_ms", service_ms);
-        // Non-exact answers carry their quality label and bound gap, so a
-        // caller can always tell an approximate result from an exact one.
-        if (rec->quality != "exact") {
-            line.field("quality", rec->quality);
-            line.field("bound_gap", rec->bound_gap);
-        }
+        // A deadline-cut answer says so, so a caller can always tell a
+        // best-so-far result from a full search's.
+        if (deadline_hit) line.field("deadline_hit", true);
         if (!rec->netlist.empty()) {
             std::string eqs = "[";
             for (std::size_t i = 0; i < rec->netlist.size(); ++i) {
@@ -314,7 +301,7 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
     {
         std::lock_guard<std::mutex> lock(m_);
         ++totals_.requests;
-        totals_.busy_seconds += sw.seconds();
+        totals_.busy_seconds += sp.seconds();
         if (spec && rec->completed) ++totals_.completed;
         else ++totals_.failed;
         if (store_.enabled() && spec && !req.store_bypass) {
@@ -327,6 +314,7 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
             auto row = batch::record_of_stored(
                 req.spec_name.empty() ? spec->model_name : req.spec_name, *rec);
             row.store_hit = hit;
+            row.deadline_hit = deadline_hit;
             rows_.push_back(std::move(row));
         }
     }

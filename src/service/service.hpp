@@ -18,9 +18,10 @@
 //
 // Request options: a request may override a documented subset of
 // pipeline_options (w, strategy, frontier, max_levels, phases, csc_signals,
-// perf, recover, verify).  Overrides flow into the store fingerprint, so differently
-// configured requests can never alias one cache entry, while the engine
-// knobs (engine/minimizer/jobs) stay excluded -- they are result-neutral.
+// perf, recover, verify, deadline_ms).  Overrides other than deadline_ms
+// flow into the store fingerprint, so differently configured requests can
+// never alias one cache entry; the deadline stays out because a cut run is
+// never cached and an uncut one equals the undeadlined run.
 #pragma once
 
 #include <cstdint>

@@ -156,8 +156,6 @@ stored_record record_of(const pipeline_result& r, std::string fingerprint) {
     rec.cmodel = r.cmodel;
     rec.impl_checked = r.impl_check.ok;
     rec.impl_states = r.impl_check.states_visited;
-    rec.quality = quality_name(r.search.quality);
-    rec.bound_gap = r.search.bound_gap;
     return rec;
 }
 
@@ -199,8 +197,6 @@ std::string serialize_record(const stored_record& rec) {
     emit_str(p, "cmodel", rec.cmodel);
     emit_bool(p, "impl_checked", rec.impl_checked);
     emit_size(p, "impl_states", rec.impl_states);
-    emit_str(p, "quality", rec.quality);
-    emit_double(p, "bound_gap", rec.bound_gap);
 
     std::string out = "asynth-record v" + std::to_string(record_schema_version) + " " +
                       std::to_string(p.size()) + " " + hex32(hash128_bytes(p.data(), p.size())) +
@@ -306,10 +302,6 @@ parse_status parse_record(std::string_view text, stored_record& out) {
             rec.impl_checked = rest == "1";
         } else if (key == "impl_states" && want_u()) {
             rec.impl_states = u;
-        } else if (key == "quality") {
-            rec.quality = read_str(rest);
-        } else if (key == "bound_gap" && want_d()) {
-            rec.bound_gap = d;
         } else {
             rd.failed = true;  // unknown key within a matching schema
         }

@@ -38,9 +38,9 @@ namespace asynth::store {
 /// loses cache efficiency, never correctness.
 /// v2: emitted netlists (verilog/cmodel) + implementation-verification
 /// outcome added alongside the equations.
-/// v3: search-quality dial -- the quality the producing search ran at and
-/// the bound gap it reported, so approximate results stay labelled on disk.
-inline constexpr int record_schema_version = 3;
+/// v3: fields of a since-removed search-quality dial.
+/// v4: those fields dropped again (v3 records read as version skew).
+inline constexpr int record_schema_version = 4;
 
 /// One synthesised signal implementation, as stored.
 struct stored_impl {
@@ -79,10 +79,6 @@ struct stored_record {
     std::string cmodel;                ///< emitted C model ("" when no circuit)
     bool impl_checked = false;         ///< verify stage ran and agreed
     std::size_t impl_states = 0;       ///< states the emulation walk visited
-    /// Quality the producing search ran at ("exact"/"bounded"/"anytime") and
-    /// the bound gap it reported (v3; see search_result::bound_gap).
-    std::string quality = "exact";
-    double bound_gap = 0.0;
 };
 
 /// Projects a pipeline outcome into its storable form.  @p fingerprint is
@@ -90,7 +86,7 @@ struct stored_record {
 [[nodiscard]] stored_record record_of(const pipeline_result& r, std::string fingerprint);
 
 /// True when @p r may be stored under its (spec, options) key: the run
-/// completed, and no anytime deadline cut its search short.  A cut result
+/// completed, and no search deadline cut its search short.  A cut result
 /// depends on the machine's speed at the time, not only on the key, so
 /// caching it would serve that accident forever.  Failures are retried too.
 [[nodiscard]] inline bool cacheable(const pipeline_result& r) noexcept {

@@ -114,26 +114,24 @@ std::string store_key::hex() const {
 std::string options_fingerprint(const pipeline_options& opt) {
     // v2: the verify knob joined the fingerprint (a verified record proves
     // strictly more than an unverified one, so they must never alias).
-    // v3: the quality dial and its anytime deadline joined -- unlike
-    // engine/minimizer they AFFECT the result, and an approximate record
-    // must never be served for an exact request (or vice versa).
-    std::string fp = "asynth-options v3;";
+    // v3: a search-quality dial and its deadline joined.
+    // v4: the quality dial is gone and the deadline left again -- cut runs
+    // are never cached, and uncut ones do not depend on the deadline.
+    std::string fp = "asynth-options v4;";
     // expand
     fp_size(fp, "phases", static_cast<std::size_t>(opt.expand.phases));
     fp_bool(fp, "chan_if", opt.expand.channel_interface);
     fp_size(fp, "max_states", opt.expand.max_states);
-    // strategy + search.  engine/minimizer/jobs are EXCLUDED by contract:
-    // they return bit-identical results (pinned corpus-wide in
-    // tests/test_explore.cpp), so either engine may serve the other's cache.
+    // strategy + search.  engine/minimizer/jobs/deadline_ms are EXCLUDED by
+    // contract: the first three return bit-identical results (pinned
+    // corpus-wide in tests/test_explore.cpp), so either engine may serve the
+    // other's cache; see the file comment in result_store.hpp for the
+    // deadline.
     fp += "strategy=";
     fp += opt.strategy == reduction_strategy::none
               ? "none"
               : (opt.strategy == reduction_strategy::beam ? "beam" : "full");
     fp += ';';
-    fp += "quality=";
-    fp += quality_name(opt.search.quality);
-    fp += ';';
-    fp_size(fp, "deadline_ms", opt.search.deadline_ms);
     fp_size(fp, "frontier", opt.search.size_frontier);
     fp_size(fp, "max_levels", opt.search.max_levels);
     fp_double(fp, "w", opt.search.cost.w);

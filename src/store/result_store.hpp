@@ -10,11 +10,11 @@
 // one identity) and the fingerprint enumerates every *result-affecting*
 // pipeline option.  Knobs that are provably result-neutral -- the search
 // engine, the minimizer mode, every jobs count -- are deliberately excluded,
-// so a sweep with `--engine reference` warms the cache for `--engine
-// incremental` and vice versa.  The search-quality dial (and its anytime
-// deadline) is result-AFFECTING and therefore fingerprinted: exact, bounded
-// and anytime runs occupy distinct keys, so approximate results never
-// poison exact cache entries.
+// so a reference-engine run warms the cache for the incremental engine and
+// vice versa.  The search deadline is excluded too: a deadline-cut run is
+// never cached (store::cacheable), and a run the deadline did not cut is
+// bit-identical to an undeadlined one, so every cached record is
+// deadline-independent and a deadlined request may be served from it.
 //
 // Disk layout (DIR is the `--store` argument):
 //

@@ -215,7 +215,7 @@ TEST(batch, report_json_is_schema_stable) {
     // documented keys in a fixed order.
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json[json.size() - 2], '}');
-    EXPECT_NE(json.find("\"schema_version\": 5"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 6"), std::string::npos);
     EXPECT_NE(json.find("\"tool\": \"asynth batch\""), std::string::npos);
     EXPECT_NE(json.find("\"specs_per_second\": "), std::string::npos);
     // schema_version 2: store efficiency + queue-wait aggregates are always
@@ -233,11 +233,10 @@ TEST(batch, report_json_is_schema_stable) {
     // least the pipeline run counter.
     EXPECT_NE(json.find("\"counters\": {"), std::string::npos);
     EXPECT_NE(json.find("\"asynth_pipeline_runs_total\": "), std::string::npos);
-    // schema_version 5: the quality dial -- aggregate max gap plus a
-    // per-spec quality label and gap, "exact"/0 for a default sweep.
-    EXPECT_NE(json.find("\"max_bound_gap\": 0"), std::string::npos);
-    EXPECT_NE(json.find("\"quality\": \"exact\""), std::string::npos);
-    EXPECT_NE(json.find("\"bound_gap\": 0"), std::string::npos);
+    // schema_version 6: every spec carries its deadline flag (false for an
+    // undeadlined sweep); the v5 quality fields are gone.
+    EXPECT_NE(json.find("\"deadline_hit\": false"), std::string::npos);
+    EXPECT_EQ(json.find("\"quality\""), std::string::npos);
     EXPECT_NE(json.find("\"stage_percentiles\": ["), std::string::npos);
     EXPECT_NE(json.find("\"specs\": ["), std::string::npos);
     EXPECT_LT(json.find("\"schema_version\""), json.find("\"counters\""));
@@ -273,9 +272,9 @@ TEST(batch, failing_spec_flushes_a_checkpoint_report) {
     std::ostringstream text;
     text << in.rdbuf();
     const std::string json = text.str();
-    // The checkpoint is a normal v5 report over the rows finished so far --
+    // The checkpoint is a normal v6 report over the rows finished so far --
     // here both rows, since the failing one flushed after its own record landed.
-    EXPECT_NE(json.find("\"schema_version\": 5"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 6"), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"good\""), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"poison\""), std::string::npos);
     EXPECT_NE(json.find("\"completed\": false"), std::string::npos);
@@ -308,7 +307,7 @@ TEST(batch, empty_workload) {
 }
 
 TEST(batch, deadline_cut_anytime_results_are_not_cached) {
-    // A search cut by its anytime deadline depends on the machine's speed,
+    // A search cut by its deadline depends on the machine's speed,
     // not only on (spec, options): the store must not keep it, so the same
     // sweep run again misses instead of replaying the cut result.
     const auto dir = std::filesystem::temp_directory_path() /
@@ -317,7 +316,6 @@ TEST(batch, deadline_cut_anytime_results_are_not_cached) {
     std::vector<benchmarks::named_spec> specs{{"mmu", benchmarks::mmu_controller()}};
     batch_options opt;
     opt.jobs = 1;
-    opt.pipeline.search.quality = search_quality::anytime;
     opt.pipeline.search.deadline_ms = 1;
     opt.store = store::result_store::open(dir.string());
     ASSERT_TRUE(opt.store.enabled());
@@ -325,9 +323,8 @@ TEST(batch, deadline_cut_anytime_results_are_not_cached) {
     const auto first = run_batch(specs, opt);
     ASSERT_EQ(first.specs.size(), 1u);
     ASSERT_TRUE(first.specs[0].completed);
-    // The multi-level search cannot finish inside 1 ms: the cut is reported
-    // as a nonzero bound gap.
-    ASSERT_GT(first.specs[0].bound_gap, 0.0);
+    // The multi-level search cannot finish inside 1 ms: the row says so.
+    ASSERT_TRUE(first.specs[0].deadline_hit);
     EXPECT_EQ(first.store_misses, 1u);
 
     const auto second = run_batch(specs, opt);

@@ -10,16 +10,14 @@
 //  * the whole search is equivalent on every embedded corpus spec, the spec
 //    suite and generated workloads -- identical best subgraph, best cost,
 //    exploration count, depth and per-level trace -- and the dominance
-//    -filtered scorer (--minimizer incremental) equals the exact oracle path
+//    -filtered scorer (minimizer_mode::incremental) equals the exact oracle path
 //    corpus-wide, with bound_move/finish_score matching score_move move by
 //    move;
 //  * results are independent of the expander's job count; and the signature
 //    tie-break makes beam selection reproducible (pinning the stable-sort
 //    satellite fix in the reference engine too);
-//  * the quality dial keeps its contracts corpus-wide: exact is bit-identical
-//    to the reference oracle, bounded never lands further from the exact
-//    result than its declared gap, and anytime with a generous deadline is
-//    exact search under another name.
+//  * a generous search deadline changes nothing corpus-wide, and a 1 ms
+//    deadline cuts the search with deadline_hit set and a valid best-so-far.
 #include <gtest/gtest.h>
 
 #include "benchmarks/corpus.hpp"
@@ -511,65 +509,11 @@ TEST(engine, non_persistent_input_falls_back_to_reference) {
                          explore::reduce_concurrency_incremental(g, so), "non-persistent");
 }
 
-// ---- the quality dial -------------------------------------------------------
+// ---- deadlines --------------------------------------------------------------
 
-TEST(quality, exact_mode_is_bit_identical_to_the_reference_oracle) {
-    // `--quality exact` IS the pre-dial behaviour: corpus-wide, the result
-    // equals the unmodified reference engine bit for bit and carries no gap
-    // machinery at all.
-    for (const auto& [name, spec] : equivalence_specs()) {
-        auto base = make_sg(spec);
-        auto g = subgraph::full(base);
-        search_options so;
-        so.cost.w = 0.5;
-        so.size_frontier = 2;
-        so.keep_concurrent = keepconc_events(expand_handshakes(spec));
-        so.quality = search_quality::exact;
-        auto inc = explore::reduce_concurrency_incremental(g, so);
-        expect_equal_results(reduce_concurrency(g, so), inc, name);
-        EXPECT_EQ(inc.quality, search_quality::exact) << name;
-        EXPECT_EQ(inc.bound_gap, 0.0) << name;
-        EXPECT_TRUE(inc.level_gap.empty()) << name;
-        EXPECT_FALSE(inc.deadline_hit) << name;
-    }
-}
-
-TEST(quality, bounded_gap_is_respected_corpus_wide) {
-    // Bounded search refines its provisional lower-bound beam lazily to the
-    // no-displacement fixpoint, so corpus-wide the result must land within
-    // the declared gap of the exact oracle -- and because the fixpoint makes
-    // the selection exact, the achieved gap itself must be 0 on every level
-    // (a nonzero entry would mean an unsound bound).  Pruning must still
-    // really happen: the certificate is not bought by refining everything.
-    std::size_t total_pruned = 0;
-    for (const auto& [name, spec] : equivalence_specs()) {
-        auto base = make_sg(spec);
-        auto g = subgraph::full(base);
-        search_options so;
-        so.cost.w = 0.5;
-        so.size_frontier = 2;
-        so.keep_concurrent = keepconc_events(expand_handshakes(spec));
-        auto exact = explore::reduce_concurrency_incremental(g, so);
-        search_options so_b = so;
-        so_b.quality = search_quality::bounded;
-        auto b = explore::reduce_concurrency_incremental(g, so_b);
-        EXPECT_EQ(b.quality, search_quality::bounded) << name;
-        ASSERT_EQ(b.level_gap.size(), b.levels) << name;
-        for (double gap : b.level_gap) EXPECT_EQ(gap, 0.0) << name;
-        EXPECT_EQ(b.bound_gap, 0.0) << name;
-        // The headline contract: within the declared gap of the exact
-        // oracle.  With a zero achieved gap that means equality, which the
-        // full-trace comparison below pins field by field.
-        EXPECT_LE(b.best_cost.value, exact.best_cost.value + b.bound_gap + 1e-9) << name;
-        expect_equal_results(exact, b, name);
-        total_pruned += b.pruned;
-    }
-    EXPECT_GT(total_pruned, 0u);
-}
-
-TEST(quality, anytime_with_generous_deadline_equals_exact) {
+TEST(deadline, generous_deadline_equals_no_deadline) {
     // A deadline the search cannot miss changes nothing: same admission path,
-    // same result, no gap -- "anytime" only costs something when it fires.
+    // same result, no cut.
     for (const auto& [name, spec] : equivalence_specs()) {
         auto base = make_sg(spec);
         auto g = subgraph::full(base);
@@ -577,57 +521,35 @@ TEST(quality, anytime_with_generous_deadline_equals_exact) {
         so.cost.w = 0.5;
         so.size_frontier = 2;
         so.keep_concurrent = keepconc_events(expand_handshakes(spec));
-        auto exact = explore::reduce_concurrency_incremental(g, so);
-        search_options so_a = so;
-        so_a.quality = search_quality::anytime;
-        so_a.deadline_ms = 3'600'000;  // one hour: unmissable
-        auto a = explore::reduce_concurrency_incremental(g, so_a);
-        expect_equal_results(exact, a, name);
-        EXPECT_EQ(a.quality, search_quality::anytime) << name;
-        EXPECT_FALSE(a.deadline_hit) << name;
-        EXPECT_EQ(a.bound_gap, 0.0) << name;
+        auto plain = explore::reduce_concurrency_incremental(g, so);
+        search_options so_d = so;
+        so_d.deadline_ms = 3'600'000;  // one hour: unmissable
+        auto d = explore::reduce_concurrency_incremental(g, so_d);
+        expect_equal_results(plain, d, name);
+        EXPECT_FALSE(plain.deadline_hit) << name;
+        EXPECT_FALSE(d.deadline_hit) << name;
     }
 }
 
-TEST(quality, anytime_tiny_deadline_returns_a_valid_best_so_far) {
-    // With a 1 ms deadline on the widest corpus spec the search either hits
-    // the deadline (then it must say so, return a sound best-so-far and the
-    // trivial gap bound) or it finished inside 1 ms (then it must equal the
-    // exact run).  Either way the caller gets a usable, honestly labelled
-    // result -- never a crash, never a silent approximation.
+TEST(deadline, tiny_deadline_returns_a_valid_best_so_far) {
+    // The multi-level search of the widest corpus spec cannot finish inside
+    // 1 ms: the search must say it was cut and still hand back a usable
+    // best-so-far from the levels that did run -- never a crash, never a
+    // silent approximation.
     auto base = make_sg(benchmarks::mmu_controller());
     auto g = subgraph::full(base);
     search_options so;
     so.cost.w = 0.5;
     so.size_frontier = 8;
-    auto exact = explore::reduce_concurrency_incremental(g, so);
-    search_options so_a = so;
-    so_a.quality = search_quality::anytime;
-    so_a.deadline_ms = 1;
-    auto a = explore::reduce_concurrency_incremental(g, so_a);
-    EXPECT_EQ(a.quality, search_quality::anytime);
-    if (a.deadline_hit) {
-        EXPECT_EQ(a.bound_gap, a.best_cost.value);
-        EXPECT_LE(a.levels, exact.levels);
-        EXPECT_GE(a.best_cost.value, exact.best_cost.value);
-        EXPECT_GT(a.best.live_states().count(), 0u);
-    } else {
-        expect_equal_results(exact, a, "mmu anytime finished early");
-    }
-}
-
-TEST(quality, non_exact_quality_overrides_the_reference_engine) {
-    // `--engine reference` pins the exactness oracle, so the qualities that
-    // only exist in the incremental engine take precedence over it: asking
-    // the reference engine for bounded search gets the incremental engine.
-    auto base = make_sg(benchmarks::lr_process());
-    auto g = subgraph::full(base);
-    search_options so;
-    so.engine = search_engine::reference;
-    so.quality = search_quality::bounded;
-    auto r = run_reduction(g, reduction_strategy::beam, so, nullptr);
-    EXPECT_EQ(r.quality, search_quality::bounded);
-    ASSERT_EQ(r.level_gap.size(), r.levels);
+    auto full = explore::reduce_concurrency_incremental(g, so);
+    search_options so_d = so;
+    so_d.deadline_ms = 1;
+    auto d = explore::reduce_concurrency_incremental(g, so_d);
+    ASSERT_TRUE(d.deadline_hit);
+    EXPECT_LE(d.levels, full.levels);
+    EXPECT_EQ(d.level_best.size(), d.levels);
+    EXPECT_GE(d.best_cost.value, full.best_cost.value);
+    EXPECT_GT(d.best.live_states().count(), 0u);
 }
 
 TEST(signature128, distinguishes_subgraphs_and_is_stable) {

@@ -197,15 +197,15 @@ TEST(service_engine, executes_misses_then_hits_with_accounting) {
     EXPECT_EQ(rep.store_misses, 1u);
     EXPECT_EQ(rep.queue_wait_max_ms, 3.0);
     const std::string json = batch::report_json(rep);
-    EXPECT_NE(json.find("\"schema_version\": 5"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 6"), std::string::npos);
     EXPECT_NE(json.find("\"store_hits\": 1"), std::string::npos);
 }
 
 TEST(service_engine, deadline_cut_anytime_results_are_not_cached) {
-    // A deadline-cut anytime search is an accident of the machine's speed:
+    // A deadline-cut search is an accident of the machine's speed:
     // the store must not keep it under the request's key, so repeating the
     // request runs the pipeline again (a miss, not a hit).
-    temp_dir dir("anytime");
+    temp_dir dir("deadline_cut");
     service::service_options opt;
     opt.store_dir = dir.path;
     opt.jobs = 1;
@@ -213,22 +213,52 @@ TEST(service_engine, deadline_cut_anytime_results_are_not_cached) {
     ASSERT_TRUE(eng.store().enabled()) << eng.store().message();
 
     pipeline_options po = opt.pipeline;
-    po.search.quality = search_quality::anytime;
     po.search.deadline_ms = 1;
     const auto req = synth_request(benchmarks::mmu_controller(), po);
     auto first = json_parse(eng.execute(req, 0.0));
     ASSERT_TRUE(first.has_value());
     ASSERT_TRUE(first->get_bool("ok"));
     EXPECT_EQ(first->get_string("store"), "miss");
-    // The multi-level search cannot finish inside 1 ms: the cut is reported
-    // as a nonzero bound gap.
-    ASSERT_GT(first->get_number("bound_gap"), 0.0);
+    // The multi-level search cannot finish inside 1 ms: the response says so.
+    ASSERT_TRUE(first->get_bool("deadline_hit"));
 
     auto second = json_parse(eng.execute(req, 0.0));
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->get_string("store"), "miss");
     EXPECT_EQ(eng.stats().store_hits, 0u);
     EXPECT_EQ(eng.stats().store_misses, 2u);
+}
+
+TEST(service_engine, uncut_deadline_request_hits_the_undeadlined_entry) {
+    // The deadline is not part of the store key: cut runs are never cached,
+    // and a run the deadline did not cut equals the undeadlined one.  So
+    // after an undeadlined request fills the store, the same spec asked
+    // with a generous deadline is served from it.
+    temp_dir dir("deadline_hit");
+    service::service_options opt;
+    opt.store_dir = dir.path;
+    opt.jobs = 1;
+    service::engine eng(opt);
+    ASSERT_TRUE(eng.store().enabled()) << eng.store().message();
+
+    std::string spec;
+    service::json_append_escaped(spec, write_astg(benchmarks::lr_process()));
+    std::string error;
+    const auto plain = service::parse_request(R"({"spec":)" + spec + "}", opt.pipeline, error);
+    ASSERT_TRUE(plain.has_value()) << error;
+    const auto deadlined = service::parse_request(
+        R"({"spec":)" + spec + R"(,"deadline_ms":3600000})", opt.pipeline, error);
+    ASSERT_TRUE(deadlined.has_value()) << error;
+    EXPECT_EQ(deadlined->options.search.deadline_ms, 3600000u);
+
+    auto first = json_parse(eng.execute(*plain, 0.0));
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->get_string("store"), "miss");
+    auto second = json_parse(eng.execute(*deadlined, 0.0));
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->get_string("store"), "hit");
+    EXPECT_EQ(second->find("deadline_hit"), nullptr);
+    EXPECT_EQ(second->get_number("area"), first->get_number("area"));
 }
 
 TEST(service_engine, astg_request_returns_the_recovered_stg) {

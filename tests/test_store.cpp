@@ -116,20 +116,6 @@ TEST(store_record, roundtrips_a_real_pipeline_result) {
     EXPECT_EQ(back.cmodel, rec.cmodel);
     EXPECT_EQ(back.impl_checked, rec.impl_checked);
     EXPECT_EQ(back.impl_states, rec.impl_states);
-    // Schema v3: the quality label and bound gap ride along (a default
-    // pipeline run is exact with no gap).
-    EXPECT_EQ(back.quality, "exact");
-    EXPECT_EQ(back.bound_gap, 0.0);
-}
-
-TEST(store_record, quality_fields_roundtrip) {
-    store::stored_record rec = sample_record();
-    rec.quality = "bounded";
-    rec.bound_gap = 2.5;
-    store::stored_record back;
-    ASSERT_EQ(store::parse_record(store::serialize_record(rec), back), store::parse_status::ok);
-    EXPECT_EQ(back.quality, "bounded");
-    EXPECT_EQ(back.bound_gap, 2.5);
 }
 
 TEST(store_record, verification_outcome_roundtrips) {
@@ -193,9 +179,11 @@ TEST(store_record, every_single_bit_flip_is_rejected) {
 
 TEST(store_record, version_skew_is_detected_before_checksum) {
     std::string text = store::serialize_record(sample_record());
-    const auto pos = text.find("asynth-record v3 ");
+    const auto pos = text.find("asynth-record v4 ");
     ASSERT_NE(pos, std::string::npos);
-    text[pos + std::string("asynth-record v").size()] = '7';
+    // A record of the previous schema (v3, which still carried the quality
+    // fields) reads as version skew -- a miss, never a misparse.
+    text[pos + std::string("asynth-record v").size()] = '3';
     store::stored_record out;
     EXPECT_EQ(store::parse_record(text, out), store::parse_status::version_skew);
 }
@@ -213,30 +201,46 @@ TEST(store_record, key_separates_specs_and_result_affecting_options) {
     EXPECT_NE(k_lr, k_fig1);
     EXPECT_NE(k_lr, k_lr_w);
 
-    // Result-neutral knobs must NOT split the cache: either engine and any
-    // job count provably computes the same result.
-    pipeline_options neutral = defaults;
-    neutral.search.engine = search_engine::reference;
-    neutral.search.minimizer = minimizer_mode::exact;
-    neutral.search.jobs = 7;
-    EXPECT_EQ(k_lr, store::key_of(benchmarks::lr_process(), neutral));
+    // The fingerprint's contract, field by field: every result-affecting
+    // option it reads splits the key ...
+    using tweak = void (*)(pipeline_options&);
+    const std::pair<const char*, tweak> affecting[] = {
+        {"phases", [](pipeline_options& o) { o.expand.phases = 2; }},
+        {"max_states", [](pipeline_options& o) { o.expand.max_states += 1; }},
+        {"strategy", [](pipeline_options& o) { o.strategy = reduction_strategy::full; }},
+        {"frontier", [](pipeline_options& o) { o.search.size_frontier += 1; }},
+        {"max_levels", [](pipeline_options& o) { o.search.max_levels += 1; }},
+        {"w", [](pipeline_options& o) { o.search.cost.w = 0.25; }},
+        {"csc_weight", [](pipeline_options& o) { o.search.cost.csc_weight += 1.0; }},
+        {"csc_signals", [](pipeline_options& o) { o.csc.max_signals += 1; }},
+        {"csc_beam", [](pipeline_options& o) { o.csc.beam_width += 1; }},
+        {"synth.exact", [](pipeline_options& o) { o.synth.exact = !o.synth.exact; }},
+        {"perf", [](pipeline_options& o) { o.run_performance = !o.run_performance; }},
+        {"recover", [](pipeline_options& o) { o.recover_stg = !o.recover_stg; }},
+        {"verify", [](pipeline_options& o) { o.verify_impl = !o.verify_impl; }},
+        {"delays", [](pipeline_options& o) { o.delays.input_delay += 1.0; }},
+    };
+    for (const auto& [name, change] : affecting) {
+        pipeline_options o = defaults;
+        change(o);
+        EXPECT_NE(k_lr, store::key_of(benchmarks::lr_process(), o)) << name;
+    }
 
-    // The quality dial IS result-affecting: every mode (and every anytime
-    // deadline) gets its own key, so approximate results can never be
-    // served where an exact one was asked for.
-    pipeline_options bounded = defaults;
-    bounded.search.quality = search_quality::bounded;
-    pipeline_options anytime = defaults;
-    anytime.search.quality = search_quality::anytime;
-    anytime.search.deadline_ms = 500;
-    pipeline_options anytime_slower = anytime;
-    anytime_slower.search.deadline_ms = 5000;
-    const auto k_bounded = store::key_of(benchmarks::lr_process(), bounded);
-    const auto k_anytime = store::key_of(benchmarks::lr_process(), anytime);
-    EXPECT_NE(k_lr, k_bounded);
-    EXPECT_NE(k_lr, k_anytime);
-    EXPECT_NE(k_bounded, k_anytime);
-    EXPECT_NE(k_anytime, store::key_of(benchmarks::lr_process(), anytime_slower));
+    // ... and every result-neutral one does not.  The engines, minimisers
+    // and job counts provably compute the same result; a deadline-cut run is
+    // never cached and an uncut one equals the undeadlined run, so the
+    // deadline must not split the cache either.
+    const std::pair<const char*, tweak> neutral[] = {
+        {"engine", [](pipeline_options& o) { o.search.engine = search_engine::reference; }},
+        {"minimizer", [](pipeline_options& o) { o.search.minimizer = minimizer_mode::exact; }},
+        {"jobs", [](pipeline_options& o) { o.search.jobs = 7; }},
+        {"deadline_ms", [](pipeline_options& o) { o.search.deadline_ms = 500; }},
+    };
+    for (const auto& [name, change] : neutral) {
+        pipeline_options o = defaults;
+        change(o);
+        EXPECT_EQ(k_lr, store::key_of(benchmarks::lr_process(), o)) << name;
+    }
 }
 
 // ---- the store on disk ------------------------------------------------------
@@ -307,7 +311,9 @@ TEST_F(store_test, version_skewed_record_is_a_miss_not_stale_data) {
     ASSERT_TRUE(st.put(key, sample_record()));
     const std::string path = sole_object_path(dir);
     std::string text = slurp(path);
-    text[text.find(" v3 ") + 2] = '9';
+    const auto pos = text.find(" v" + std::to_string(store::record_schema_version) + " ");
+    ASSERT_NE(pos, std::string::npos);
+    text[pos + 2] = '9';
     spit(path, text);
     EXPECT_FALSE(st.get(key).has_value());
     EXPECT_EQ(st.stats().version_skew, 1u);
@@ -442,17 +448,15 @@ TEST_F(store_test, batch_sweep_is_resumable_and_warm_hits_everything) {
     EXPECT_EQ(resumed.store_misses, 2u);
 }
 
-TEST(store_json, report_json_is_schema_version_5_with_store_fields) {
+TEST(store_json, report_json_is_schema_version_6_with_store_fields) {
     batch::batch_report rep;
     rep.queue_wait_p90_ms = 1.5;
     rep.impl_checked = 2;
-    rep.max_bound_gap = 3.25;
     const std::string json = batch::report_json(rep);
-    EXPECT_NE(json.find("\"schema_version\": 5"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 6"), std::string::npos);
     EXPECT_NE(json.find("\"store_hits\": 0"), std::string::npos);
     EXPECT_NE(json.find("\"store_misses\": 0"), std::string::npos);
     EXPECT_NE(json.find("\"queue_wait_p50_ms\": 0"), std::string::npos);
     EXPECT_NE(json.find("\"queue_wait_p90_ms\": 1.5"), std::string::npos);
     EXPECT_NE(json.find("\"impl_checked\": 2"), std::string::npos);
-    EXPECT_NE(json.find("\"max_bound_gap\": 3.25"), std::string::npos);
 }

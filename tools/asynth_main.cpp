@@ -19,8 +19,8 @@
 // The `fuzz` subcommand differentially fuzzes the pipeline's redundant
 // paths (reference vs incremental engine, exact vs dominance minimiser,
 // store round trip, write/parse round trip, CSP front end, netlist vs
-// state graph, bounded vs exact quality) over randomly generated
-// specifications, shrinking every mismatch (docs/FUZZING.md):
+// state graph) over randomly generated specifications, shrinking every
+// mismatch (docs/FUZZING.md):
 //
 //   asynth batch --count 64 --jobs 0 --report BENCH_pipeline.json
 //   asynth batch --store results/ --count 64     # resumable sweep
@@ -79,19 +79,12 @@ void print_usage(std::FILE* to) {
                  "\n"
                  "flow options:\n"
                  "  --strategy <s>        none | beam | full   (default: beam, the Fig. 9 search)\n"
-                 "  --engine <e>          reference | incremental beam engine (default:\n"
-                 "                        incremental; identical results, incremental is faster)\n"
-                 "  --minimizer <m>       exact | incremental candidate scoring (default:\n"
-                 "                        incremental = dominance-filtered bounds; identical\n"
-                 "                        results, faster; see docs/CLI.md)\n"
-                 "  --quality <q>         exact | bounded | anytime search quality (default:\n"
-                 "                        exact = bit-identical classic beam; bounded admits\n"
-                 "                        the beam on literal bounds and reports its bound\n"
-                 "                        gap; anytime honours --deadline; docs/SEARCH.md)\n"
-                 "  --deadline <ms>       anytime wall-clock budget in milliseconds, checked\n"
-                 "                        between search levels (requires --quality anytime)\n"
-                 "  --search-jobs <n>     incremental-engine scoring threads; 0 = all hardware\n"
-                 "                        cores (default 1; identical results for every value)\n"
+                 "  --deadline <ms>       search wall-clock budget in milliseconds, checked\n"
+                 "                        between search levels; a cut search returns its\n"
+                 "                        best-so-far result (default 0 = none;\n"
+                 "                        docs/SEARCH.md)\n"
+                 "  --search-jobs <n>     search scoring threads; 0 = all hardware cores\n"
+                 "                        (default 1; identical results for every value)\n"
                  "  --w <x>               cost weight W in [0,1]; 0 biases CSC, 1 logic\n"
                  "                        (default 0.5)\n"
                  "  --frontier <n>        beam frontier size (default 4)\n"
@@ -122,14 +115,8 @@ void print_usage(std::FILE* to) {
                  "\n"
                  "batch subcommand (corpus sweep on a work-stealing thread pool):\n"
                  "  --jobs <n>            worker threads; 0 = all hardware cores (default 0)\n"
-                 "  --engine <e>          reference | incremental beam engine (default:\n"
-                 "                        incremental)\n"
-                 "  --minimizer <m>       exact | incremental candidate scoring (default:\n"
-                 "                        incremental)\n"
-                 "  --quality <q>         exact | bounded | anytime search quality (default:\n"
-                 "                        exact; per-spec bound gaps land in the report)\n"
-                 "  --deadline <ms>       per-spec anytime budget in milliseconds (requires\n"
-                 "                        --quality anytime)\n"
+                 "  --deadline <ms>       per-spec search budget in milliseconds; cut specs\n"
+                 "                        are flagged deadline_hit in the report\n"
                  "  --seed <n>            first seed of the generated workload (default 1)\n"
                  "  --count <n>           number of generated random specs (default 64)\n"
                  "  --size <n>            handshake calls per generated spec (default 4)\n"
@@ -164,8 +151,8 @@ void print_usage(std::FILE* to) {
                  "  --seed <n>            base PRNG seed; every iteration is reproducible\n"
                  "                        from (seed, index) alone (default 1)\n"
                  "  --oracle <o>          engines | minimizers | store-roundtrip |\n"
-                 "                        text-roundtrip | csp-frontend | impl-vs-sg |\n"
-                 "                        bounded-vs-exact | all; repeatable (default all)\n"
+                 "                        text-roundtrip | csp-frontend | impl-vs-sg | all;\n"
+                 "                        repeatable (default all)\n"
                  "  --jobs <n>            parallel iterations; 0 = all hardware cores\n"
                  "                        (default 1; results independent of the value)\n"
                  "  --max-size <n>        channel-budget cap; >= 8 enables the multi-way\n"
@@ -243,52 +230,6 @@ void print_usage(std::FILE* to) {
     return true;
 }
 
-/// Parses an --engine value; prints a diagnostic and returns false on typos.
-[[nodiscard]] bool parse_engine(const char* s, search_engine& out) {
-    if (std::strcmp(s, "reference") == 0) {
-        out = search_engine::reference;
-        return true;
-    }
-    if (std::strcmp(s, "incremental") == 0) {
-        out = search_engine::incremental;
-        return true;
-    }
-    std::fprintf(stderr, "asynth: unknown engine '%s' (reference | incremental)\n", s);
-    return false;
-}
-
-/// Parses a --minimizer value; prints a diagnostic and returns false on typos.
-[[nodiscard]] bool parse_minimizer(const char* s, minimizer_mode& out) {
-    if (std::strcmp(s, "exact") == 0) {
-        out = minimizer_mode::exact;
-        return true;
-    }
-    if (std::strcmp(s, "incremental") == 0) {
-        out = minimizer_mode::incremental;
-        return true;
-    }
-    std::fprintf(stderr, "asynth: unknown minimizer '%s' (exact | incremental)\n", s);
-    return false;
-}
-
-/// Parses a --quality value; prints a diagnostic and returns false on typos.
-[[nodiscard]] bool parse_quality(const char* s, search_quality& out) {
-    if (std::strcmp(s, "exact") == 0) {
-        out = search_quality::exact;
-        return true;
-    }
-    if (std::strcmp(s, "bounded") == 0) {
-        out = search_quality::bounded;
-        return true;
-    }
-    if (std::strcmp(s, "anytime") == 0) {
-        out = search_quality::anytime;
-        return true;
-    }
-    std::fprintf(stderr, "asynth: unknown quality '%s' (exact | bounded | anytime)\n", s);
-    return false;
-}
-
 /// Parses a --log-level value; prints a diagnostic and returns false on typos.
 [[nodiscard]] bool parse_log_level(const char* s, obs::log_level& out) {
     if (auto lvl = obs::level_from_name(s)) {
@@ -360,13 +301,6 @@ int run_batch_cli(int argc, char** argv) {
             return 0;
         } else if (arg == "--jobs") {
             if (!parse_size("--jobs", need_value(i, "--jobs"), opt.jobs)) return 2;
-        } else if (arg == "--engine") {
-            if (!parse_engine(need_value(i, "--engine"), opt.pipeline.search.engine)) return 2;
-        } else if (arg == "--minimizer") {
-            if (!parse_minimizer(need_value(i, "--minimizer"), opt.pipeline.search.minimizer))
-                return 2;
-        } else if (arg == "--quality") {
-            if (!parse_quality(need_value(i, "--quality"), opt.pipeline.search.quality)) return 2;
         } else if (arg == "--deadline") {
             if (!parse_size("--deadline", need_value(i, "--deadline"),
                             opt.pipeline.search.deadline_ms))
@@ -425,11 +359,6 @@ int run_batch_cli(int argc, char** argv) {
             std::fprintf(stderr, "asynth batch: unknown option '%s' (see --help)\n", arg.c_str());
             return 2;
         }
-    }
-    if (opt.pipeline.search.deadline_ms > 0 &&
-        opt.pipeline.search.quality != search_quality::anytime) {
-        std::fprintf(stderr, "asynth batch: --deadline requires --quality anytime\n");
-        return 2;
     }
     if (!configure_logging(log_lvl, log_file)) return 2;
     // --report doubles as the failure-checkpoint path: a sweep that dies
@@ -569,7 +498,7 @@ int run_fuzz_cli(int argc, char** argv) {
                 std::fprintf(stderr,
                              "asynth fuzz: unknown oracle '%s' (engines | minimizers |"
                              " store-roundtrip | text-roundtrip | csp-frontend | impl-vs-sg |"
-                             " bounded-vs-exact | all)\n",
+                             " all)\n",
                              v);
                 return 2;
             }
@@ -930,12 +859,6 @@ int main(int argc, char** argv) {
                 std::fprintf(stderr, "asynth: unknown strategy '%s'\n", v.c_str());
                 return 2;
             }
-        } else if (arg == "--engine") {
-            if (!parse_engine(need_value(i, "--engine"), opt.search.engine)) return 2;
-        } else if (arg == "--minimizer") {
-            if (!parse_minimizer(need_value(i, "--minimizer"), opt.search.minimizer)) return 2;
-        } else if (arg == "--quality") {
-            if (!parse_quality(need_value(i, "--quality"), opt.search.quality)) return 2;
         } else if (arg == "--deadline") {
             if (!parse_size("--deadline", need_value(i, "--deadline"), opt.search.deadline_ms))
                 return 2;
@@ -1013,10 +936,6 @@ int main(int argc, char** argv) {
     if (input_file.empty() == corpus_name.empty()) {
         std::fprintf(stderr, "asynth: exactly one of <spec.g> or --corpus is required\n\n");
         print_usage(stderr);
-        return 2;
-    }
-    if (opt.search.deadline_ms > 0 && opt.search.quality != search_quality::anytime) {
-        std::fprintf(stderr, "asynth: --deadline requires --quality anytime\n");
         return 2;
     }
     // --out needs the recovered STG, so it overrides --no-recover.

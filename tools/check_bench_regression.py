@@ -6,14 +6,15 @@ BENCH_pipeline.json (checked in at the repo root) and a freshly generated
 report, over the *intersection* of spec names (the baseline sweeps more specs
 than the CI smoke run).  Repeat --stage to guard several stages in one run
 (the nightly workflow watches `reduce` and `logic`); the exit code reports
-the worst verdict across them.  Report schema_versions 1 through 5 are all
+the worst verdict across them.  Report schema_versions 1 through 6 are all
 accepted (v2 adds store/queue aggregates, v3 the impl-verification fields and
 emit/verify stage timings, v4 the metrics-registry "counters" block, v5 the
-search-quality label and bound gap, all above or beside the specs[] layout
-this reads).  A v4+ report missing its counters block is rejected: that key
-is part of the schema contract.  So is a v5 report whose exact-mode rows
-carry a nonzero bound gap -- exact search declares no gap by definition, and
-a gap there means the producing run was not what the sweep claims.
+labels of a since-removed search-quality dial, v6 a per-spec deadline_hit
+flag in their place, all above or beside the specs[] layout this reads).
+A v4+ report missing its counters block is rejected: that key is part of the
+schema contract.  So is a report with a row whose search was cut short -- a
+v6 row with "deadline_hit": true, or a v5 exact-mode row with a nonzero gap:
+a cut search's timings cannot gate full-search budgets.
 Do NOT feed it a store-warmed report: a hit's timings describe the producing
 run, not this machine.
 
@@ -47,12 +48,13 @@ def die(message):
     sys.exit(2)
 
 
-SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5)  # v2 adds store hit/miss + queue-wait
-                                     # aggregates, v3 impl-verification fields
-                                     # and emit/verify stage timings, v4 the
-                                     # counters block, v5 the quality label +
-                                     # bound gap; the per-spec layout this
-                                     # tool reads is shared.
+SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5, 6)  # v2 adds store hit/miss + queue-wait
+                                        # aggregates, v3 impl-verification
+                                        # fields and emit/verify stage timings,
+                                        # v4 the counters block, v5 the quality
+                                        # label + gap, v6 deadline_hit in their
+                                        # place; the per-spec layout this tool
+                                        # reads is shared.
 
 
 def load_specs(path):
@@ -74,10 +76,16 @@ def load_specs(path):
     specs = report.get("specs")
     if not isinstance(specs, list) or not specs:
         die(f"error: {path} has no specs[]")
-    if report.get("schema_version") >= 5:
-        # Exact search declares no gap by definition; a nonzero gap on an
-        # exact row means the report does not describe an exact sweep and
-        # its timings cannot gate exact-mode budgets.
+    if report.get("schema_version") >= 6:
+        # A deadline-cut row ran only part of its search: its timings cannot
+        # gate full-search budgets.
+        cut = [s.get("name") for s in specs if s.get("deadline_hit") is True]
+        if cut:
+            die(f"error: {path} has deadline-cut specs: {cut}")
+    elif report.get("schema_version") == 5:
+        # The v5 form of the same rule: exact search declares no gap by
+        # definition, so a nonzero gap on an exact row means the report does
+        # not describe a full exact sweep.
         lying = [s.get("name") for s in specs
                  if s.get("quality", "exact") == "exact" and s.get("bound_gap", 0)]
         if lying:

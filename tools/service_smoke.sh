@@ -175,10 +175,10 @@ for ev in server.start server.drain_begin server.drained; do
     grep -q "\"event\":\"$ev\"" serve_events.log || fail "no $ev event in serve_events.log"
 done
 [ -s serve_report.json ] || fail "drain report not written"
-grep -q '"schema_version": 5' serve_report.json || fail "drain report is not schema v5"
+grep -q '"schema_version": 6' serve_report.json || fail "drain report is not schema v6"
 grep -q '"counters": {' serve_report.json || fail "drain report lacks the counters block"
-# Exact-mode service runs must declare a zero aggregate gap (schema v5).
-grep -q '"max_bound_gap": 0' serve_report.json || fail "drain report gap is not zero"
+# Undeadlined service runs are never cut (schema v6 per-spec flag).
+! grep -q '"deadline_hit": true' serve_report.json || fail "drain report has a deadline-cut row"
 
 # The store survives the daemon and is shared across tools: a batch sweep
 # over the embedded corpus against the same store must hit every spec the

@@ -108,48 +108,75 @@ namespace {
 /// differ inside F(m1) | F(m2) can never share a cube, so a greedy clique of
 /// pairwise-incompatible minterms needs one distinct cube each and the sum
 /// of their floors is a sound lower bound.
+///
+/// Cost: the ON x OFF distance scan dominates.  Codes are copied once into
+/// flat word arrays, and "distance exactly 1" is pure word logic -- the first
+/// differing word must be a single bit (d & (d - 1) == 0) and a second
+/// differing word means "far" -- so the scan needs no popcount (the build has
+/// no -mpopcnt) and the bound allocates nothing once the per-thread scratch
+/// has grown.
 std::size_t clique_lower_bound(const sop_spec& spec) {
     const std::size_t non = spec.on.size();
+    const std::size_t noff = spec.off.size();
     const std::size_t nw = spec.on[0].words().size();
 
-    std::vector<std::vector<uint64_t>> forced(non, std::vector<uint64_t>(nw, 0));
-    std::vector<std::size_t> floor_lits(non, 1);
+    struct scratch {
+        std::vector<uint64_t> on, off, forced;  // non x nw, noff x nw, non x nw
+        std::vector<std::size_t> floor_lits, order, clique;
+    };
+    thread_local scratch s;
+    s.on.resize(non * nw);
+    s.off.resize(noff * nw);
+    s.forced.assign(non * nw, 0);
+    for (std::size_t i = 0; i < non; ++i)
+        std::copy_n(spec.on[i].words().data(), nw, s.on.data() + i * nw);
+    for (std::size_t j = 0; j < noff; ++j)
+        std::copy_n(spec.off[j].words().data(), nw, s.off.data() + j * nw);
+
+    s.floor_lits.assign(non, 1);
     for (std::size_t i = 0; i < non; ++i) {
-        const auto& mw = spec.on[i].words();
-        for (const auto& o : spec.off) {
-            const auto& ow = o.words();
-            std::size_t pc = 0, lw = 0;
+        const uint64_t* mw = s.on.data() + i * nw;
+        uint64_t* fw = s.forced.data() + i * nw;
+        for (std::size_t j = 0; j < noff; ++j) {
+            const uint64_t* ow = s.off.data() + j * nw;
+            std::size_t lw = nw;  // the one differing word, if any
             uint64_t lbits = 0;
-            for (std::size_t w = 0; w < nw && pc <= 1; ++w) {
+            for (std::size_t w = 0; w < nw; ++w) {
                 const uint64_t d = mw[w] ^ ow[w];
                 if (d == 0) continue;
-                pc += static_cast<std::size_t>(std::popcount(d));
+                if (lbits != 0 || (d & (d - 1)) != 0) {
+                    lw = nw;  // distance >= 2
+                    break;
+                }
                 lw = w;
                 lbits = d;
             }
-            if (pc == 1) forced[i][lw] |= lbits;
+            if (lw != nw) fw[lw] |= lbits;
         }
         std::size_t f = 0;
-        for (uint64_t w : forced[i]) f += static_cast<std::size_t>(std::popcount(w));
-        floor_lits[i] = std::max<std::size_t>(1, f);
+        for (std::size_t w = 0; w < nw; ++w) f += static_cast<std::size_t>(std::popcount(fw[w]));
+        s.floor_lits[i] = std::max<std::size_t>(1, f);
     }
 
     // Greedy clique, visiting minterms by descending floor (deterministic:
     // stable sort, index tie-break) so the most constrained cubes count.
-    std::vector<std::size_t> order(non);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) { return floor_lits[a] > floor_lits[b]; });
-    std::vector<std::size_t> clique;
+    s.order.resize(non);
+    std::iota(s.order.begin(), s.order.end(), std::size_t{0});
+    std::stable_sort(s.order.begin(), s.order.end(), [&](std::size_t a, std::size_t b) {
+        return s.floor_lits[a] > s.floor_lits[b];
+    });
+    s.clique.clear();
     std::size_t lower = 0;
-    for (std::size_t i : order) {
-        const auto& mi = spec.on[i].words();
+    for (std::size_t i : s.order) {
+        const uint64_t* mi = s.on.data() + i * nw;
+        const uint64_t* fi = s.forced.data() + i * nw;
         bool incompatible_with_all = true;
-        for (std::size_t j : clique) {
-            const auto& mj = spec.on[j].words();
+        for (std::size_t j : s.clique) {
+            const uint64_t* mj = s.on.data() + j * nw;
+            const uint64_t* fj = s.forced.data() + j * nw;
             bool conflict = false;
             for (std::size_t w = 0; w < nw; ++w)
-                if (((mi[w] ^ mj[w]) & (forced[i][w] | forced[j][w])) != 0) {
+                if (((mi[w] ^ mj[w]) & (fi[w] | fj[w])) != 0) {
                     conflict = true;
                     break;
                 }
@@ -159,8 +186,8 @@ std::size_t clique_lower_bound(const sop_spec& spec) {
             }
         }
         if (incompatible_with_all) {
-            clique.push_back(i);
-            lower += floor_lits[i];
+            s.clique.push_back(i);
+            lower += s.floor_lits[i];
         }
     }
     return lower;

@@ -119,47 +119,52 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
         }
         obs::span lsp("explore.level", "explore");
         lsp.arg("level", static_cast<std::uint64_t>(level));
-        // ---- enumerate candidate moves in the reference engine's order:
-        // frontier order, then ER components ascending by event.
         std::vector<move_ref> moves;
-        for (uint32_t ni = 0; ni < frontier.size(); ++ni) {
-            const auto& cache = frontier[ni].cache;
-            std::vector<const er_component*> comps;
-            for (std::size_t e = 0; e < ctx.nevents; ++e)
-                for (const auto& comp : cache.er[e]) comps.push_back(&comp);
-            for (std::size_t i = 0; i < comps.size(); ++i) {
-                // e2 (the delayed event) must not be an input (Fig. 9).
-                if (ctx.input_event[comps[i]->event]) continue;
-                for (std::size_t j = 0; j < comps.size(); ++j) {
-                    if (i == j || comps[i]->event == comps[j]->event) continue;
-                    if (!comps[i]->states.intersects(comps[j]->states)) continue;
-                    if (is_kept_pair(opt.keep_concurrent, base.events()[comps[i]->event],
-                                     base.events()[comps[j]->event]))
-                        continue;
-                    moves.push_back(move_ref{ni, comps[i], comps[j]});
+        std::vector<std::optional<applied_move>> applied;
+        std::vector<uint32_t> unique;
+        {
+            obs::span asp("explore.apply", "explore");
+            // ---- enumerate candidate moves in the reference engine's order:
+            // frontier order, then ER components ascending by event.
+            for (uint32_t ni = 0; ni < frontier.size(); ++ni) {
+                const auto& cache = frontier[ni].cache;
+                std::vector<const er_component*> comps;
+                for (std::size_t e = 0; e < ctx.nevents; ++e)
+                    for (const auto& comp : cache.er[e]) comps.push_back(&comp);
+                for (std::size_t i = 0; i < comps.size(); ++i) {
+                    // e2 (the delayed event) must not be an input (Fig. 9).
+                    if (ctx.input_event[comps[i]->event]) continue;
+                    for (std::size_t j = 0; j < comps.size(); ++j) {
+                        if (i == j || comps[i]->event == comps[j]->event) continue;
+                        if (!comps[i]->states.intersects(comps[j]->states)) continue;
+                        if (is_kept_pair(opt.keep_concurrent, base.events()[comps[i]->event],
+                                         base.events()[comps[j]->event]))
+                            continue;
+                        moves.push_back(move_ref{ni, comps[i], comps[j]});
+                    }
                 }
             }
-        }
 
-        // ---- phase 1: apply + validity-check every move (parallel).
-        std::vector<std::optional<applied_move>> applied(moves.size());
-        run_tasks(pool, moves.size(), [&](std::size_t i) {
-            const move_ref& m = moves[i];
-            applied[i] = apply_move(ctx, frontier[m.node].g, frontier[m.node].cache, *m.a, *m.b);
-            if (applied[i] && !opt.keep_concurrent.empty() &&
-                !kept_pairs_alive(applied[i]->child, opt.keep_concurrent))
-                applied[i].reset();
-        });
+            // ---- phase 1: apply + validity-check every move (parallel).
+            applied.resize(moves.size());
+            run_tasks(pool, moves.size(), [&](std::size_t i) {
+                const move_ref& m = moves[i];
+                applied[i] =
+                    apply_move(ctx, frontier[m.node].g, frontier[m.node].cache, *m.a, *m.b);
+                if (applied[i] && !opt.keep_concurrent.empty() &&
+                    !kept_pairs_alive(applied[i]->child, opt.keep_concurrent))
+                    applied[i].reset();
+            });
 
-        // ---- phase 2: transposition dedupe, serially in enumeration order
-        // (the reference engine's `explored` semantics, with 128-bit keys).
-        std::vector<uint32_t> unique;
-        for (std::size_t i = 0; i < applied.size(); ++i) {
-            if (!applied[i]) continue;
-            if (transposition.insert(applied[i]->sig).second)
-                unique.push_back(static_cast<uint32_t>(i));
-            else
-                applied[i].reset();
+            // ---- phase 2: transposition dedupe, serially in enumeration order
+            // (the reference engine's `explored` semantics, with 128-bit keys).
+            for (std::size_t i = 0; i < applied.size(); ++i) {
+                if (!applied[i]) continue;
+                if (transposition.insert(applied[i]->sig).second)
+                    unique.push_back(static_cast<uint32_t>(i));
+                else
+                    applied[i].reset();
+            }
         }
         lsp.arg("moves", static_cast<std::uint64_t>(moves.size()));
         lsp.arg("unique", static_cast<std::uint64_t>(unique.size()));
@@ -277,6 +282,8 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
         res.explored += unique.size();
         lsp.arg("admitted", static_cast<std::uint64_t>(admitted.size()));
 
+        // Phases 4 and 5 run under one span that ends with the level.
+        obs::span ssp("explore.select", "explore");
         // ---- phase 4: deterministic beam selection -- cost, then signature.
         // Restricting the sort to the admitted set is exact: every pruned
         // candidate was proved strictly worse than `size_frontier` admitted

@@ -1,10 +1,17 @@
 // Dynamic bitset tuned for the small dense universes used throughout the
 // library: Petri-net markings, state-graph state/arc sets, signal codes.
+//
+// Storage: up to kInlineWords words (64 bits) live inside the object, so the
+// signal codes, spec minterms and cube halves of specs with up to 64 signals
+// never touch the heap; larger universes (wider codes, state and arc sets)
+// spill to a vector.  Exactly one of the two holds the words at any time,
+// decided by size() alone.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,6 +23,11 @@ class dyn_bitset {
 public:
     dyn_bitset() = default;
     explicit dyn_bitset(std::size_t nbits, bool value = false);
+    dyn_bitset(const dyn_bitset&) = default;
+    dyn_bitset& operator=(const dyn_bitset&) = default;
+    /// A moved-from bitset is empty (size 0), whichever storage it used.
+    dyn_bitset(dyn_bitset&& o) noexcept;
+    dyn_bitset& operator=(dyn_bitset&& o) noexcept;
 
     [[nodiscard]] std::size_t size() const noexcept { return nbits_; }
     [[nodiscard]] bool empty_universe() const noexcept { return nbits_ == 0; }
@@ -23,12 +35,12 @@ public:
     void resize(std::size_t nbits, bool value = false);
 
     [[nodiscard]] bool test(std::size_t i) const noexcept {
-        return (words_[i >> 6] >> (i & 63U)) & 1U;
+        return (data()[i >> 6] >> (i & 63U)) & 1U;
     }
-    void set(std::size_t i) noexcept { words_[i >> 6] |= (uint64_t{1} << (i & 63U)); }
-    void reset(std::size_t i) noexcept { words_[i >> 6] &= ~(uint64_t{1} << (i & 63U)); }
+    void set(std::size_t i) noexcept { data()[i >> 6] |= (uint64_t{1} << (i & 63U)); }
+    void reset(std::size_t i) noexcept { data()[i >> 6] &= ~(uint64_t{1} << (i & 63U)); }
     void assign(std::size_t i, bool v) noexcept { v ? set(i) : reset(i); }
-    void flip(std::size_t i) noexcept { words_[i >> 6] ^= (uint64_t{1} << (i & 63U)); }
+    void flip(std::size_t i) noexcept { data()[i >> 6] ^= (uint64_t{1} << (i & 63U)); }
 
     void set_all() noexcept;
     void reset_all() noexcept;
@@ -58,6 +70,9 @@ public:
     [[nodiscard]] friend dyn_bitset operator&(dyn_bitset a, const dyn_bitset& b) { return a &= b; }
     [[nodiscard]] friend dyn_bitset operator^(dyn_bitset a, const dyn_bitset& b) { return a ^= b; }
 
+    /// Content equality: member-wise is exact because the storage not in use
+    /// (inline words of a spilled set, the vector of an inline one) is always
+    /// zero / empty, and padding bits beyond size() are always zero.
     [[nodiscard]] bool operator==(const dyn_bitset& o) const noexcept = default;
 
     /// True iff this and @p o share at least one set bit.
@@ -74,12 +89,13 @@ public:
     /// "10110..." most-significant index last (index 0 printed first).
     [[nodiscard]] std::string to_string() const;
 
-    /// Raw 64-bit words, little-endian bit order; padding bits beyond size()
-    /// are always zero.  Exposed for word-parallel kernels (boolfn cubes).
-    [[nodiscard]] const std::vector<uint64_t>& words() const noexcept { return words_; }
+    /// Raw 64-bit words ((size() + 63) / 64 of them), little-endian bit
+    /// order; padding bits beyond size() are always zero.  Exposed for
+    /// word-parallel kernels (boolfn cubes).
+    [[nodiscard]] std::span<const uint64_t> words() const noexcept { return {data(), nwords()}; }
     /// Valid-bit mask of word @p w (all-ones except possibly the last word).
     [[nodiscard]] uint64_t word_mask(std::size_t w) const noexcept {
-        if (w + 1 == words_.size() && (nbits_ & 63U) != 0)
+        if (w + 1 == nwords() && (nbits_ & 63U) != 0)
             return (~uint64_t{0}) >> (64 - (nbits_ & 63U));
         return ~uint64_t{0};
     }
@@ -106,10 +122,19 @@ public:
     [[nodiscard]] ones_range ones() const noexcept { return ones_range(*this); }
 
 private:
+    static constexpr std::size_t kInlineWords = 1;
+
+    [[nodiscard]] std::size_t nwords() const noexcept { return (nbits_ + 63) / 64; }
+    [[nodiscard]] bool spilled() const noexcept { return nbits_ > kInlineWords * 64; }
+    [[nodiscard]] uint64_t* data() noexcept { return spilled() ? heap_.data() : inline_; }
+    [[nodiscard]] const uint64_t* data() const noexcept {
+        return spilled() ? heap_.data() : inline_;
+    }
     void clear_padding() noexcept;
 
     std::size_t nbits_ = 0;
-    std::vector<uint64_t> words_;
+    uint64_t inline_[kInlineWords] = {};  ///< the words while !spilled(); all zero otherwise
+    std::vector<uint64_t> heap_;          ///< the words while spilled(); empty otherwise
 };
 
 }  // namespace asynth

@@ -136,8 +136,11 @@ TEST(batch, poisoned_spec_fails_alone) {
     EXPECT_FALSE(bad.completed);
     EXPECT_FALSE(bad.failed_stage.empty());
     EXPECT_FALSE(bad.message.empty());
-    for (std::size_t i = 0; i < rep.specs.size(); ++i)
-        if (i != 1) EXPECT_TRUE(rep.specs[i].completed) << rep.specs[i].name;
+    for (std::size_t i = 0; i < rep.specs.size(); ++i) {
+        if (i != 1) {
+            EXPECT_TRUE(rep.specs[i].completed) << rep.specs[i].name;
+        }
+    }
 }
 
 TEST(batch, record_projection_of_fig1) {
@@ -195,7 +198,9 @@ TEST(batch, verify_impl_sweep_checks_every_synthesised_spec) {
     for (const auto& s : rep.specs) {
         SCOPED_TRACE(s.name);
         EXPECT_EQ(s.impl_checked, s.synthesized);
-        if (s.impl_checked) EXPECT_GT(s.impl_states, 0u);
+        if (s.impl_checked) {
+            EXPECT_GT(s.impl_states, 0u);
+        }
     }
     std::string json = batch::report_json(rep);
     EXPECT_NE(json.find("\"impl_checked\": " + std::to_string(rep.impl_checked)),

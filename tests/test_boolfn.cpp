@@ -5,6 +5,9 @@
 // literal-optimal cover.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "boolfn/cover.hpp"
 #include "boolfn/incremental_cover.hpp"
 #include "util/hash.hpp"
@@ -409,6 +412,101 @@ TEST_P(bounds_random, bracket_the_literal_optimum) {
 
 INSTANTIATE_TEST_SUITE_P(seeds, bounds_random, ::testing::Range<uint64_t>(0, 30));
 
+namespace {
+
+/// The forced-literal clique bound written with plain bitset algebra
+/// (distance = popcount of the XOR): the word-logic kernel must agree with it
+/// exactly, on every word layout.
+std::size_t reference_clique_bound(const sop_spec& spec) {
+    const std::size_t non = spec.on.size();
+    std::vector<dyn_bitset> forced(non, dyn_bitset(spec.nvars));
+    std::vector<std::size_t> floor_lits(non);
+    for (std::size_t i = 0; i < non; ++i) {
+        for (const auto& o : spec.off) {
+            const dyn_bitset d = spec.on[i] ^ o;
+            if (d.count() == 1) forced[i] |= d;
+        }
+        floor_lits[i] = std::max<std::size_t>(1, forced[i].count());
+    }
+    std::vector<std::size_t> order(non);
+    for (std::size_t i = 0; i < non; ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return floor_lits[a] > floor_lits[b]; });
+    std::vector<std::size_t> clique;
+    std::size_t lower = 0;
+    for (std::size_t i : order) {
+        bool incompatible_with_all = true;
+        for (std::size_t j : clique)
+            if (!(spec.on[i] ^ spec.on[j]).intersects(forced[i] | forced[j])) {
+                incompatible_with_all = false;
+                break;
+            }
+        if (incompatible_with_all) {
+            clique.push_back(i);
+            lower += floor_lits[i];
+        }
+    }
+    return lower;
+}
+
+/// A sparse random spec over @p n variables (too many to enumerate): random
+/// ON points, each with OFF neighbours at distance 1 (anywhere, at the top
+/// variable, in word 1), at distance 2 inside word 0 and across words 0 and
+/// 1, an ON neighbour, and a far OFF point.
+sop_spec wide_spec(std::size_t n, uint64_t seed) {
+    xorshift64 rng(seed);
+    sop_spec s;
+    s.nvars = n;
+    std::unordered_set<dyn_bitset> seen;  // ON and OFF stay disjoint
+    auto add = [&](std::vector<dyn_bitset>& side, const dyn_bitset& p) {
+        if (seen.insert(p).second) side.push_back(p);
+    };
+    auto random_point = [&] {
+        dyn_bitset p(n);
+        for (std::size_t v = 0; v < n; ++v)
+            if (rng.next_bool()) p.set(v);
+        return p;
+    };
+    auto flipped = [](dyn_bitset p, std::initializer_list<std::size_t> vars) {
+        for (std::size_t v : vars) p.flip(v);
+        return p;
+    };
+    const std::size_t lo = std::min<std::size_t>(n, 64);
+    for (int k = 0; k < 10; ++k) {
+        const dyn_bitset m = random_point();
+        add(s.on, m);
+        add(s.off, flipped(m, {rng.next_below(n)}));
+        add(s.off, flipped(m, {n - 1}));
+        const std::size_t a = rng.next_below(lo), b = (a + 1 + rng.next_below(lo - 1)) % lo;
+        add(s.off, flipped(m, {a, b}));
+        if (n > 64) {
+            const std::size_t hi = 64 + rng.next_below(n - 64);
+            add(s.off, flipped(m, {hi}));
+            add(s.off, flipped(m, {rng.next_below(64), hi}));
+        }
+        add(s.on, flipped(m, {rng.next_below(n)}));
+        add(s.off, random_point());
+    }
+    return s;
+}
+
+}  // namespace
+
+class bounds_wide : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(bounds_wide, clique_bound_matches_bitset_reference_across_words) {
+    for (std::size_t n : {63, 64, 65, 130}) {
+        const auto spec = wide_spec(n, GetParam() * 131 + n);
+        SCOPED_TRACE(::testing::Message() << n << " vars, seed " << GetParam());
+        const auto b = bound_literals(spec);
+        EXPECT_EQ(b.lower, reference_clique_bound(spec));
+        EXPECT_GT(b.lower, 0u);
+        EXPECT_LE(b.lower, minimize_heuristic(spec).literal_count());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(seeds, bounds_wide, ::testing::Range<uint64_t>(0, 12));
+
 class rebase_random : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(rebase_random, repaired_cover_is_valid_and_accounted) {
@@ -438,7 +536,9 @@ TEST_P(rebase_random, repaired_cover_is_valid_and_accounted) {
     st = ic.rebase(after);
     EXPECT_TRUE(verify_cover(ic.cubes(), after)) << "seed " << seed;
     EXPECT_EQ(st.kept + st.repaired + st.dropped, base) << "seed " << seed;
-    if (after.on.empty()) EXPECT_TRUE(ic.cubes().cubes.empty());
+    if (after.on.empty()) {
+        EXPECT_TRUE(ic.cubes().cubes.empty());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, rebase_random, ::testing::Range<uint64_t>(0, 30));

@@ -169,9 +169,10 @@ TEST(pipeline, summary_mentions_stages_and_outcome) {
 }
 
 TEST(pipeline, phase_spans_run_once_per_level_and_per_signal) {
-    // explore.bound / explore.exact split each beam level, and logic.minimise
-    // covers each implemented signal: per level or per signal, never per
-    // candidate, and nested inside their stage spans.
+    // explore.apply / explore.bound / explore.exact / explore.select split
+    // each beam level, and logic.minimise covers each implemented signal: per
+    // level or per signal, never per candidate, and nested inside their stage
+    // spans.
     obs::trace_session session;
     session.start();
     const auto r = run_pipeline(benchmarks::mmu_controller());
@@ -184,5 +185,9 @@ TEST(pipeline, phase_spans_run_once_per_level_and_per_signal) {
     EXPECT_GT(count["explore.bound"], 0u);
     EXPECT_LE(count["explore.bound"], count["explore.level"]);
     EXPECT_EQ(count["explore.exact"], count["explore.bound"]);
+    // Every level enumerates and applies; a level whose moves all dedupe
+    // away stops before scoring, so it has no select span.
+    EXPECT_EQ(count["explore.apply"], count["explore.level"]);
+    EXPECT_EQ(count["explore.select"], count["explore.exact"]);
     EXPECT_EQ(count["logic.minimise"], r.synth.ckt.impls.size());
 }

@@ -116,6 +116,144 @@ TEST(dyn_bitset, to_string) {
     EXPECT_EQ(b.to_string(), "0101");
 }
 
+namespace {
+
+// Sizes on both sides of every storage boundary: empty, the inline limit (one
+// word, 64 bits), the first spilled size, and word edges of spilled sets.
+constexpr std::size_t kBoundarySizes[] = {0, 1, 63, 64, 65, 127, 128, 129, 200};
+
+/// Padding bits beyond size() are zero and words() has exactly one word per
+/// started 64 bits.
+void expect_canonical(const dyn_bitset& b) {
+    const auto w = b.words();
+    ASSERT_EQ(w.size(), (b.size() + 63) / 64);
+    for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(w[i] & ~b.word_mask(i), 0u) << i;
+}
+
+dyn_bitset pattern(std::size_t n, uint64_t seed) {
+    xorshift64 rng(seed);
+    dyn_bitset b(n);
+    for (std::size_t i = 0; i < n; ++i)
+        if (rng.next_bool()) b.set(i);
+    return b;
+}
+
+/// The FNV-1a formula memo keys, code hashes and store keys were built on:
+/// the storage layout must not move it.
+uint64_t reference_hash(const dyn_bitset& b, uint64_t seed) {
+    uint64_t h = seed ^ 1469598103934665603ULL;
+    for (auto w : b.words()) {
+        h ^= w;
+        h *= 1099511628211ULL;
+    }
+    return h ^ b.size();
+}
+
+}  // namespace
+
+TEST(dyn_bitset, boundary_sizes_construct_canonically) {
+    for (std::size_t n : kBoundarySizes) {
+        SCOPED_TRACE(n);
+        const dyn_bitset zeros(n), ones(n, true);
+        expect_canonical(zeros);
+        expect_canonical(ones);
+        EXPECT_EQ(zeros.count(), 0u);
+        EXPECT_EQ(ones.count(), n);
+        EXPECT_EQ(ones.find_first(), n == 0 ? dyn_bitset::npos : 0);
+        dyn_bitset all(n);
+        all.set_all();
+        EXPECT_EQ(all, ones);
+        all.reset_all();
+        EXPECT_EQ(all, zeros);
+        const dyn_bitset p = pattern(n, n + 1);
+        EXPECT_EQ(p.hash(), static_cast<std::size_t>(reference_hash(p, 0)));
+        EXPECT_EQ(p.hash_seeded(0x9e3779b97f4a7c15ULL),
+                  reference_hash(p, 0x9e3779b97f4a7c15ULL));
+    }
+}
+
+TEST(dyn_bitset, resize_across_the_inline_limit_keeps_bits_and_clears_padding) {
+    for (std::size_t from : kBoundarySizes)
+        for (std::size_t to : kBoundarySizes)
+            for (bool value : {false, true}) {
+                SCOPED_TRACE(::testing::Message() << from << " -> " << to << " value " << value);
+                const dyn_bitset before = pattern(from, from * 31 + to);
+                dyn_bitset b = before;
+                b.resize(to, value);
+                ASSERT_EQ(b.size(), to);
+                expect_canonical(b);
+                dyn_bitset want(to);
+                for (std::size_t i = 0; i < to; ++i) {
+                    EXPECT_EQ(b.test(i), i < from ? before.test(i) : value) << i;
+                    want.assign(i, i < from ? before.test(i) : value);
+                }
+                // Equal to the same bits built at the final size: no stale
+                // words survive in the storage not in use.
+                EXPECT_EQ(b, want);
+                EXPECT_EQ(b.hash(), want.hash());
+                // Growing keeps every bit, so shrinking back restores the
+                // original, whichever storage it passed through.
+                if (to >= from) {
+                    b.resize(from);
+                    EXPECT_EQ(b, before);
+                    EXPECT_EQ(b.hash(), before.hash());
+                }
+            }
+}
+
+TEST(dyn_bitset, copy_and_move_between_inline_and_spilled) {
+    for (std::size_t a : kBoundarySizes)
+        for (std::size_t b : kBoundarySizes) {
+            SCOPED_TRACE(::testing::Message() << a << " <- " << b);
+            const dyn_bitset src = pattern(b, b + 7);
+            dyn_bitset dst = pattern(a, a + 3);
+            dst = src;  // copy-assign over the other storage
+            EXPECT_EQ(dst, src);
+            expect_canonical(dst);
+            if (b > 0) {
+                dst.flip(b - 1);  // the copy is independent
+                EXPECT_NE(dst, src);
+                dst.flip(b - 1);
+            }
+            dyn_bitset moved = pattern(a, a + 5);
+            moved = std::move(dst);  // move-assign over the other storage
+            EXPECT_EQ(moved, src);
+            EXPECT_EQ(dst.size(), 0u);  // moved-from is specified empty
+            expect_canonical(dst);
+            dst.resize(b);  // a moved-from bitset is reusable
+            EXPECT_TRUE(dst.none());
+            dyn_bitset constructed(std::move(moved));
+            EXPECT_EQ(constructed, src);
+            EXPECT_EQ(moved, dyn_bitset());
+        }
+}
+
+TEST(dyn_bitset, equal_content_is_equal_whatever_the_history) {
+    for (std::size_t n : kBoundarySizes) {
+        SCOPED_TRACE(n);
+        const dyn_bitset direct = pattern(n, 99);
+        // Grown from empty, shrunk from a spilled superset, and round-tripped
+        // through the other storage with bits set beyond n in between.
+        dyn_bitset grown;
+        grown.resize(n);
+        for (auto i : direct.ones()) grown.set(i);
+        dyn_bitset shrunk = direct;
+        shrunk.resize(300, true);
+        shrunk.resize(n);
+        dyn_bitset round(n, true);
+        round.resize(1);
+        round.resize(n);
+        round.reset_all();
+        round |= direct;
+        for (const dyn_bitset* other : {&grown, &shrunk, &round}) {
+            EXPECT_EQ(*other, direct);
+            EXPECT_EQ(other->hash(), direct.hash());
+            EXPECT_EQ(other->hash_seeded(17), direct.hash_seeded(17));
+            expect_canonical(*other);
+        }
+    }
+}
+
 class dyn_bitset_random : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(dyn_bitset_random, matches_reference_implementation) {

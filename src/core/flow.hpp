@@ -16,8 +16,7 @@
 // Thread safety: every entry point in this header is a pure function of its
 // arguments -- no global or function-local mutable state anywhere in the
 // flow (expand, sg, reduce, csc, logic, perf, regions were audited when the
-// batch engine was added; the BDD engine keeps its caches inside
-// bdd_manager instances created per call).  Concurrent calls on distinct
+// batch engine was added).  Concurrent calls on distinct
 // inputs are safe, which is what batch/batch.cpp relies on.  A `subgraph`
 // (including flow_report::reduced) holds a pointer to its base SG, so a
 // report must not outlive or be mutated concurrently with the shared_ptr'd

@@ -210,9 +210,8 @@ void continue_pipeline(pipeline_result& rep, const pipeline_options& opt) {
             return;
     }
 
-    // Emission is unconditional once a circuit exists (it is a cheap, pure
-    // text rendering of the gates); verification is opt-in.  Neither runs on
-    // verdict-only results (no circuit -> nothing to emit or replay).
+    // Every circuit is emitted and verified; verdict-only results have
+    // nothing to emit or replay.
     if (rep.synthesized()) {
         if (!run_stage(rep, pipeline_stage::emit, [&](obs::span& sp) {
                 rep.impl_model =
@@ -222,15 +221,13 @@ void continue_pipeline(pipeline_result& rep, const pipeline_options& opt) {
                 sp.arg("gates", static_cast<std::uint64_t>(rep.impl_model.gate_count()));
             }))
             return;
-        if (opt.verify_impl) {
-            if (!run_stage(rep, pipeline_stage::verify, [&](obs::span& sp) {
-                    rep.impl_check =
-                        emulate_against_sg(rep.impl_model, subgraph::full(rep.csc.graph));
-                    sp.arg("states", static_cast<std::uint64_t>(rep.impl_check.states_visited));
-                    require(rep.impl_check.ok, rep.impl_check.message);
-                }))
-                return;
-        }
+        if (!run_stage(rep, pipeline_stage::verify, [&](obs::span& sp) {
+                rep.impl_check =
+                    emulate_against_sg(rep.impl_model, subgraph::full(rep.csc.graph));
+                sp.arg("states", static_cast<std::uint64_t>(rep.impl_check.states_visited));
+                require(rep.impl_check.ok, rep.impl_check.message);
+            }))
+            return;
     }
     rep.completed = true;
 }

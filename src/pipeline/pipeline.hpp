@@ -13,6 +13,11 @@
 //   emit    netlist backends (Verilog + C model)   (netlist/backend)
 //   verify  implementation-vs-SG emulation         (netlist/emulate)
 //
+// Every synthesised circuit is emitted and then verified: the verify stage
+// replays the emitted gates against the encoded state graph, and a
+// divergence is a structured *failure* (failed = verify), not a verdict --
+// the pipeline promised a speed-independent circuit and the gates disagree.
+//
 // Unlike core/flow (which the benches drive and which aborts by exception),
 // the pipeline never throws: every stage runs under a timed trace span
 // and converts asynth::error into a structured (failed stage, diagnostic)
@@ -92,11 +97,8 @@ struct pipeline_options {
     bool zero_delay_wires = true;
     bool run_performance = true;  ///< run the perf stage
     bool recover_stg = true;      ///< run the recover stage (STG of the result)
-    /// Run the verify stage: emulate the emitted gate-level implementation
-    /// against the encoded state graph (netlist/emulate.hpp).  A divergence
-    /// is a structured *failure* (failed = verify), not a verdict: the
-    /// pipeline promised a speed-independent circuit and the gates disagree.
-    /// The emit stage itself always runs when synthesis succeeds.
+    /// Ignored: the verify stage runs for every synthesised circuit.  Kept
+    /// only so existing callers that assign it still compile.
     bool verify_impl = false;
 };
 

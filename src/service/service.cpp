@@ -7,6 +7,7 @@
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "petri/astg_io.hpp"
+#include "service/options.hpp"
 
 namespace asynth::service {
 
@@ -41,61 +42,6 @@ double percentile(const std::vector<double>& sorted, double q) {
     if (sorted.empty()) return 0.0;
     auto rank = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
     return sorted[std::min(rank, sorted.size() - 1)];
-}
-
-/// Applies the documented per-request overrides onto @p opt.  Returns false
-/// and fills @p error on a bad value -- a typo must produce an error
-/// response, not a silently different synthesis.
-[[nodiscard]] bool apply_overrides(const json_value& msg, pipeline_options& opt,
-                                   std::string& error) {
-    auto bad = [&](const char* what) {
-        error = what;
-        return false;
-    };
-    if (const json_value* v = msg.find("w")) {
-        if (v->k != json_value::kind::number || !(v->num >= 0.0 && v->num <= 1.0))
-            return bad("'w' must be a number in [0,1]");
-        opt.search.cost.w = v->num;
-    }
-    if (const json_value* v = msg.find("strategy")) {
-        if (v->k != json_value::kind::string) return bad("'strategy' must be a string");
-        if (v->str == "none") opt.strategy = reduction_strategy::none;
-        else if (v->str == "beam") opt.strategy = reduction_strategy::beam;
-        else if (v->str == "full") opt.strategy = reduction_strategy::full;
-        else return bad("'strategy' must be none|beam|full");
-    }
-    auto positive_int = [&](const char* key, std::size_t& out, std::size_t min_v) {
-        const json_value* v = msg.find(key);
-        if (!v) return true;
-        if (v->k != json_value::kind::number || v->num < static_cast<double>(min_v) ||
-            v->num > 1e9 || v->num != static_cast<double>(static_cast<std::size_t>(v->num))) {
-            error = std::string("'") + key + "' must be a small non-negative integer";
-            return false;
-        }
-        out = static_cast<std::size_t>(v->num);
-        return true;
-    };
-    if (!positive_int("frontier", opt.search.size_frontier, 1)) return false;
-    if (!positive_int("max_levels", opt.search.max_levels, 0)) return false;
-    if (!positive_int("csc_signals", opt.csc.max_signals, 0)) return false;
-    if (const json_value* v = msg.find("phases")) {
-        if (v->k != json_value::kind::number || (v->num != 2.0 && v->num != 4.0))
-            return bad("'phases' must be 2 or 4");
-        opt.expand.phases = static_cast<int>(v->num);
-    }
-    if (const json_value* v = msg.find("perf")) {
-        if (v->k != json_value::kind::boolean) return bad("'perf' must be a boolean");
-        opt.run_performance = v->b;
-    }
-    if (const json_value* v = msg.find("recover")) {
-        if (v->k != json_value::kind::boolean) return bad("'recover' must be a boolean");
-        opt.recover_stg = v->b;
-    }
-    if (const json_value* v = msg.find("verify")) {
-        if (v->k != json_value::kind::boolean) return bad("'verify' must be a boolean");
-        opt.verify_impl = v->b;
-    }
-    return positive_int("deadline_ms", opt.search.deadline_ms, 0);
 }
 
 }  // namespace
@@ -151,7 +97,7 @@ std::optional<request> parse_request(std::string_view line, const pipeline_optio
     req.store_bypass = msg->get_bool("no_store", false);
     req.want_astg = msg->get_bool("astg", false);
     req.options = defaults;
-    if (!apply_overrides(*msg, req.options, error)) return std::nullopt;
+    if (!apply_request_options(*msg, req.options, error)) return std::nullopt;
     return req;
 }
 

@@ -16,12 +16,12 @@
 //                   lifetime serialises into the same schema_version-2
 //                   BENCH_pipeline.json format as a batch sweep
 //
-// Request options: a request may override a documented subset of
-// pipeline_options (w, strategy, frontier, max_levels, phases, csc_signals,
-// perf, recover, verify, deadline_ms).  Overrides other than deadline_ms
-// flow into the store fingerprint, so differently configured requests can
-// never alias one cache entry; the deadline stays out because a cut run is
-// never cached and an uncut one equals the undeadlined run.
+// Request options: a request may override every per-request row of the
+// option table (service/options.hpp), each under its request key; keys the
+// table does not know are ignored.  Result-affecting overrides flow into the
+// store fingerprint, so differently configured requests can never alias one
+// cache entry; the deadline stays out because a cut run is never cached and
+// an uncut one equals the undeadlined run.
 #pragma once
 
 #include <cstdint>

@@ -48,7 +48,7 @@ store_counters& store_obs() {
 constexpr std::string_view store_format_line = "asynth-store v1\n";
 
 void fp_double(std::string& out, const char* key, double v) {
-    char buf[48];
+    char buf[64];
     std::snprintf(buf, sizeof buf, "%s=%.17g;", key, v);
     out += buf;
 }
@@ -117,27 +117,27 @@ std::string options_fingerprint(const pipeline_options& opt) {
     // v3: a search-quality dial and its deadline joined.
     // v4: the quality dial is gone and the deadline left again -- cut runs
     // are never cached, and uncut ones do not depend on the deadline.
-    std::string fp = "asynth-options v4;";
+    // v5: the verify knob is gone (every circuit is verified), and labels
+    // are pipeline_options member paths: the fingerprint speaks the
+    // struct's vocabulary, the option table (service/options.hpp) the
+    // command line's and the protocol's.
+    std::string fp = "asynth-options v5;";
     // expand
-    fp_size(fp, "phases", static_cast<std::size_t>(opt.expand.phases));
-    fp_bool(fp, "chan_if", opt.expand.channel_interface);
-    fp_size(fp, "max_states", opt.expand.max_states);
+    fp_size(fp, "expand.phases", static_cast<std::size_t>(opt.expand.phases));
+    fp_bool(fp, "expand.channel_interface", opt.expand.channel_interface);
+    fp_size(fp, "expand.max_states", opt.expand.max_states);
     // strategy + search.  engine/minimizer/jobs/deadline_ms are EXCLUDED by
     // contract: the first three return bit-identical results (pinned
     // corpus-wide in tests/test_explore.cpp), so either engine may serve the
     // other's cache; see the file comment in result_store.hpp for the
     // deadline.
-    fp += "strategy=";
-    fp += opt.strategy == reduction_strategy::none
-              ? "none"
-              : (opt.strategy == reduction_strategy::beam ? "beam" : "full");
-    fp += ';';
-    fp_size(fp, "frontier", opt.search.size_frontier);
-    fp_size(fp, "max_levels", opt.search.max_levels);
-    fp_double(fp, "w", opt.search.cost.w);
-    fp_double(fp, "csc_weight", opt.search.cost.csc_weight);
-    fp_size(fp, "min_passes", opt.search.cost.minimize_passes);
-    fp += "keepconc=";
+    fp_size(fp, "reduction", static_cast<std::size_t>(opt.strategy));
+    fp_size(fp, "search.size_frontier", opt.search.size_frontier);
+    fp_size(fp, "search.max_levels", opt.search.max_levels);
+    fp_double(fp, "cost.w", opt.search.cost.w);
+    fp_double(fp, "cost.csc_weight", opt.search.cost.csc_weight);
+    fp_size(fp, "cost.minimize_passes", opt.search.cost.minimize_passes);
+    fp += "search.keep_concurrent=";
     for (const auto& [a, b] : opt.search.keep_concurrent) {
         fp += std::to_string(a.signal);
         fp += a.dir == edge::plus ? '+' : (a.dir == edge::minus ? '-' : '~');
@@ -147,22 +147,21 @@ std::string options_fingerprint(const pipeline_options& opt) {
     }
     fp += ';';
     // csc
-    fp_size(fp, "csc_signals", opt.csc.max_signals);
-    fp_size(fp, "csc_beam", opt.csc.beam_width);
+    fp_size(fp, "csc.max_signals", opt.csc.max_signals);
+    fp_size(fp, "csc.beam_width", opt.csc.beam_width);
     // synth
-    fp_bool(fp, "exact", opt.synth.exact);
-    fp_double(fp, "lib_inv", opt.synth.lib.inverter);
-    fp_double(fp, "lib_g2", opt.synth.lib.gate2);
-    fp_double(fp, "lib_c", opt.synth.lib.celement);
+    fp_bool(fp, "synth.exact", opt.synth.exact);
+    fp_double(fp, "synth.lib.inverter", opt.synth.lib.inverter);
+    fp_double(fp, "synth.lib.gate2", opt.synth.lib.gate2);
+    fp_double(fp, "synth.lib.celement", opt.synth.lib.celement);
     // perf + tail stages
-    fp_bool(fp, "zero_wires", opt.zero_delay_wires);
-    fp_bool(fp, "perf", opt.run_performance);
-    fp_bool(fp, "recover", opt.recover_stg);
-    fp_bool(fp, "verify", opt.verify_impl);
-    fp_double(fp, "d_in", opt.delays.input_delay);
-    fp_double(fp, "d_out", opt.delays.output_delay);
-    fp_double(fp, "d_int", opt.delays.internal_delay);
-    fp += "d_over=";
+    fp_bool(fp, "zero_delay_wires", opt.zero_delay_wires);
+    fp_bool(fp, "run_performance", opt.run_performance);
+    fp_bool(fp, "recover_stg", opt.recover_stg);
+    fp_double(fp, "delays.input_delay", opt.delays.input_delay);
+    fp_double(fp, "delays.output_delay", opt.delays.output_delay);
+    fp_double(fp, "delays.internal_delay", opt.delays.internal_delay);
+    fp += "delays.overrides=";
     for (const auto& [name, v] : opt.delays.overrides) {
         fp += name;
         fp += ':';

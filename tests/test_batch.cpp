@@ -190,7 +190,6 @@ TEST(batch, aggregates_and_percentiles) {
 TEST(batch, verify_impl_sweep_checks_every_synthesised_spec) {
     batch_options opt;
     opt.jobs = 2;
-    opt.pipeline.verify_impl = true;
     auto rep = run_batch(small_workload(), opt);
     EXPECT_EQ(rep.failed, 0u) << "a diverging implementation would fail its spec";
     EXPECT_GT(rep.synthesized, 0u);
@@ -229,9 +228,13 @@ TEST(batch, report_json_is_schema_stable) {
     EXPECT_NE(json.find("\"store_misses\": 0"), std::string::npos);
     EXPECT_NE(json.find("\"queue_wait_p90_ms\": 0"), std::string::npos);
     EXPECT_NE(json.find("\"store_hit\": false"), std::string::npos);
-    // schema_version 3: the verification aggregate is always present (zero
-    // for an unverified sweep) and every spec carries its flag.
-    EXPECT_NE(json.find("\"impl_checked\": 0"), std::string::npos);
+    // schema_version 3: the verification aggregate is always present and
+    // every spec carries its flag; every synthesised spec is verified, and
+    // fig1 (no circuit) is not.
+    EXPECT_GT(rep.synthesized, 0u);
+    EXPECT_EQ(rep.impl_checked, rep.synthesized);
+    EXPECT_NE(json.find("\"impl_checked\": " + std::to_string(rep.synthesized)),
+              std::string::npos);
     EXPECT_NE(json.find("\"impl_checked\": false"), std::string::npos);
     // schema_version 4: the metrics-registry counters block sits between the
     // aggregates and the stage percentiles; a real sweep always records at

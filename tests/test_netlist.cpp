@@ -249,10 +249,8 @@ TEST(netlist_backend, emitted_c_model_is_a_valid_translation_unit) {
 TEST(netlist_emulate, corpus_implementations_agree_with_their_state_graphs) {
     // Every synthesisable benchmark's emitted implementation must replay
     // clean: trace containment and output readiness on every live state.
-    pipeline_options opt;
-    opt.verify_impl = true;
     for (const auto& e : benchmarks::corpus_table()) {
-        auto r = run_pipeline(e.make(), opt);
+        auto r = run_pipeline(e.make());
         EXPECT_TRUE(r.completed) << e.name << ": " << r.message;
         if (!r.synthesized()) continue;  // unsolvable CSC: nothing to check
         EXPECT_TRUE(r.impl_check.ok) << e.name << ": " << r.impl_check.message;
@@ -284,15 +282,12 @@ TEST(netlist_emulate, injected_gate_bug_is_caught) {
 TEST(netlist_emulate, verify_stage_fails_structurally_on_a_broken_model) {
     // Through the pipeline the same bug must become a structured stage
     // failure (verify), never an exception or a silent pass -- that is what
-    // `asynth batch --verify-impl` aggregates.
+    // `asynth batch` aggregates.
     auto r = run_corpus("qmodule");
     ASSERT_TRUE(r.synthesized());
     ASSERT_FALSE(r.verilog.empty());
-    pipeline_options opt;
-    opt.verify_impl = true;
-    auto verified = run_pipeline(r.spec, opt);
-    EXPECT_TRUE(verified.completed);
-    EXPECT_TRUE(verified.impl_check.ok);
-    ASSERT_FALSE(verified.timings.empty());
-    EXPECT_EQ(verified.timings.back().stage, pipeline_stage::verify);
+    EXPECT_TRUE(r.completed);
+    EXPECT_TRUE(r.impl_check.ok);
+    ASSERT_FALSE(r.timings.empty());
+    EXPECT_EQ(r.timings.back().stage, pipeline_stage::verify);
 }

@@ -145,9 +145,11 @@ TEST(pipeline, optional_stages_can_be_disabled) {
     opt.recover_stg = false;
     auto r = run_pipeline(benchmarks::lr_process(), opt);
     ASSERT_TRUE(r.completed) << r.message;
-    // Emission is not optional: it always follows a synthesised circuit.
+    // Emission and verification are not optional: they always follow a
+    // synthesised circuit.
     check_timings(r, {pipeline_stage::expand, pipeline_stage::state_graph, pipeline_stage::reduce,
-                      pipeline_stage::csc, pipeline_stage::logic, pipeline_stage::emit});
+                      pipeline_stage::csc, pipeline_stage::logic, pipeline_stage::emit,
+                      pipeline_stage::verify});
     EXPECT_FALSE(r.perf.periodic);
     EXPECT_FALSE(r.recovered.ok);
 }

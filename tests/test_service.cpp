@@ -15,8 +15,10 @@
 
 #include "benchmarks/corpus.hpp"
 #include "obs/log.hpp"
+#include "option_values.hpp"
 #include "petri/astg_io.hpp"
 #include "service/json.hpp"
+#include "service/options.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 
@@ -126,6 +128,47 @@ TEST(service_request, defaults_overrides_and_errors) {
         service::parse_request(R"({"spec":"x","frontier":0})", defaults, error).has_value());
     EXPECT_FALSE(
         service::parse_request(R"({"spec":"x","phases":3})", defaults, error).has_value());
+}
+
+TEST(service_request, every_surface_sets_the_same_pipeline_options) {
+    // One legal non-default value per table row, set four ways: `asynth`
+    // argv, `asynth batch` argv (both go through option_arg_value +
+    // apply_option, from their own defaults), a hand-written JSON request,
+    // and the line `asynth client` builds, read back by parse_request.
+    const pipeline_options run_defaults;
+    const pipeline_options batch_defaults = batch::batch_options{}.pipeline;
+    const pipeline_options daemon_defaults = service::service_options{}.pipeline;
+    const auto table = service::pipeline_option_table();
+    for (const auto& o : table) {
+        SCOPED_TRACE(o.flag);
+        const std::string arg = non_default_arg(o, run_defaults);
+        std::vector<pipeline_options> got(2);
+        got[0] = run_defaults;
+        got[1] = batch_defaults;
+        for (auto& opt : got)
+            ASSERT_TRUE(service::apply_option(o, service::option_arg_value(o, arg.c_str()), opt));
+        EXPECT_NE(o.get(got[0]), o.get(run_defaults));
+
+        if (o.per_request()) {
+            std::string error;
+            const std::string hand =
+                std::string(R"({"spec":"x",")") + o.key + "\":" + json_literal(o, arg) + "}";
+            service::json_line line;
+            line.field("op", "synth");
+            line.field("spec", "x");
+            service::append_option_field(line, o, service::option_arg_value(o, arg.c_str()));
+            for (const std::string& text : {hand, std::move(line).finish()}) {
+                auto req = service::parse_request(text, daemon_defaults, error);
+                ASSERT_TRUE(req.has_value()) << text << ": " << error;
+                got.push_back(req->options);
+            }
+        }
+        for (std::size_t i = 1; i < got.size(); ++i) {
+            EXPECT_EQ(store::options_fingerprint(got[i]), store::options_fingerprint(got[0])) << i;
+            for (const auto& row : table)
+                EXPECT_EQ(row.get(got[i]), row.get(got[0])) << "surface " << i << ": " << row.flag;
+        }
+    }
 }
 
 // ---- engine (transport-free) ------------------------------------------------
@@ -303,23 +346,24 @@ TEST(service_engine, astg_request_returns_the_recovered_stg) {
     EXPECT_EQ(lean->find("astg"), nullptr);
 }
 
-TEST(service_engine, verify_override_flows_into_the_pipeline_and_response) {
+TEST(service_engine, every_synth_response_carries_impl_checked_and_legacy_verify_is_ignored) {
+    // Verification is unconditional.  Clients written against the old
+    // "verify" override keep working: the key -- even false, even mistyped
+    // -- parses and changes nothing.
     const pipeline_options defaults;
     std::string error;
-    auto req = service::parse_request(R"({"spec":".model m\n.end\n","verify":true})",
-                                      defaults, error);
-    ASSERT_TRUE(req.has_value()) << error;
-    EXPECT_TRUE(req->options.verify_impl);
-    EXPECT_FALSE(service::parse_request(R"({"spec":"x","verify":1})", defaults, error)
-                     .has_value());
-    EXPECT_NE(error.find("'verify'"), std::string::npos);
+    for (const char* line : {R"({"spec":"x","verify":true})", R"({"spec":"x","verify":false})",
+                             R"({"spec":"x","verify":1})"}) {
+        auto req = service::parse_request(line, defaults, error);
+        ASSERT_TRUE(req.has_value()) << line << ": " << error;
+        EXPECT_EQ(store::options_fingerprint(req->options), store::options_fingerprint(defaults))
+            << line;
+    }
 
     service::service_options opt;  // no store
     opt.jobs = 1;
     service::engine eng(opt);
-    auto verified = synth_request(benchmarks::lr_process(), defaults);
-    verified.options.verify_impl = true;
-    auto resp = json_parse(eng.execute(verified, 0.0));
+    auto resp = json_parse(eng.execute(synth_request(benchmarks::lr_process(), defaults), 0.0));
     ASSERT_TRUE(resp.has_value());
     EXPECT_TRUE(resp->get_bool("ok"));
     EXPECT_TRUE(resp->get_bool("impl_checked"));

@@ -17,7 +17,9 @@
 #include "batch/batch.hpp"
 #include "benchmarks/corpus.hpp"
 #include "petri/astg_io.hpp"
+#include "option_values.hpp"
 #include "pipeline/pipeline.hpp"
+#include "service/options.hpp"
 #include "store/result_store.hpp"
 
 using namespace asynth;
@@ -119,9 +121,7 @@ TEST(store_record, roundtrips_a_real_pipeline_result) {
 }
 
 TEST(store_record, verification_outcome_roundtrips) {
-    pipeline_options opt;
-    opt.verify_impl = true;
-    pipeline_result r = run_pipeline(benchmarks::lr_process(), opt);
+    pipeline_result r = run_pipeline(benchmarks::lr_process());
     ASSERT_TRUE(r.completed);
     ASSERT_TRUE(r.impl_check.ok);
     const store::stored_record rec = store::record_of(r, "fp");
@@ -201,23 +201,35 @@ TEST(store_record, key_separates_specs_and_result_affecting_options) {
     EXPECT_NE(k_lr, k_fig1);
     EXPECT_NE(k_lr, k_lr_w);
 
-    // The fingerprint's contract, field by field: every result-affecting
-    // option it reads splits the key ...
+    // The fingerprint's contract, row by row of the option table: every
+    // result-affecting flow option splits the key and every other one (the
+    // deadline, the search jobs) does not.  A result-affecting row missing
+    // from options_fingerprint fails here.
+    for (const auto& o : service::pipeline_option_table()) {
+        pipeline_options changed = defaults;
+        const std::string arg = non_default_arg(o, defaults);
+        ASSERT_TRUE(service::apply_option(o, service::option_arg_value(o, arg.c_str()), changed))
+            << o.flag << " " << arg;
+        ASSERT_NE(o.get(changed), o.get(defaults)) << o.flag;
+        const auto key = store::key_of(benchmarks::lr_process(), changed);
+        // A deadline-cut run is never cached and an uncut one equals the
+        // undeadlined run; search jobs never change a result.
+        const std::string_view flag = o.flag;
+        EXPECT_EQ(o.affects_result, flag != "--deadline" && flag != "--search-jobs") << flag;
+        if (o.affects_result)
+            EXPECT_NE(k_lr, key) << o.flag;
+        else
+            EXPECT_EQ(k_lr, key) << o.flag;
+    }
+
+    // Library-only fields, by hand: each result-affecting one splits the
+    // key ...
     using tweak = void (*)(pipeline_options&);
     const std::pair<const char*, tweak> affecting[] = {
-        {"phases", [](pipeline_options& o) { o.expand.phases = 2; }},
         {"max_states", [](pipeline_options& o) { o.expand.max_states += 1; }},
-        {"strategy", [](pipeline_options& o) { o.strategy = reduction_strategy::full; }},
-        {"frontier", [](pipeline_options& o) { o.search.size_frontier += 1; }},
-        {"max_levels", [](pipeline_options& o) { o.search.max_levels += 1; }},
-        {"w", [](pipeline_options& o) { o.search.cost.w = 0.25; }},
         {"csc_weight", [](pipeline_options& o) { o.search.cost.csc_weight += 1.0; }},
-        {"csc_signals", [](pipeline_options& o) { o.csc.max_signals += 1; }},
         {"csc_beam", [](pipeline_options& o) { o.csc.beam_width += 1; }},
         {"synth.exact", [](pipeline_options& o) { o.synth.exact = !o.synth.exact; }},
-        {"perf", [](pipeline_options& o) { o.run_performance = !o.run_performance; }},
-        {"recover", [](pipeline_options& o) { o.recover_stg = !o.recover_stg; }},
-        {"verify", [](pipeline_options& o) { o.verify_impl = !o.verify_impl; }},
         {"delays", [](pipeline_options& o) { o.delays.input_delay += 1.0; }},
     };
     for (const auto& [name, change] : affecting) {
@@ -226,15 +238,12 @@ TEST(store_record, key_separates_specs_and_result_affecting_options) {
         EXPECT_NE(k_lr, store::key_of(benchmarks::lr_process(), o)) << name;
     }
 
-    // ... and every result-neutral one does not.  The engines, minimisers
-    // and job counts provably compute the same result; a deadline-cut run is
-    // never cached and an uncut one equals the undeadlined run, so the
-    // deadline must not split the cache either.
+    // ... and every result-neutral one does not: the engines, minimisers
+    // and job counts provably compute the same result.
     const std::pair<const char*, tweak> neutral[] = {
         {"engine", [](pipeline_options& o) { o.search.engine = search_engine::reference; }},
         {"minimizer", [](pipeline_options& o) { o.search.minimizer = minimizer_mode::exact; }},
         {"jobs", [](pipeline_options& o) { o.search.jobs = 7; }},
-        {"deadline_ms", [](pipeline_options& o) { o.search.deadline_ms = 500; }},
     };
     for (const auto& [name, change] : neutral) {
         pipeline_options o = defaults;

@@ -35,6 +35,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -50,6 +51,7 @@
 #include "obs/trace.hpp"
 #include "petri/astg_io.hpp"
 #include "pipeline/pipeline.hpp"
+#include "service/options.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -67,35 +69,19 @@ void print_usage(std::FILE* to) {
                  "\n"
                  "Runs the full synthesis pipeline: parse -> handshake expansion -> state\n"
                  "graph -> concurrency-reduction search (Fig. 9) -> CSC resolution -> logic\n"
-                 "synthesis -> timed analysis -> STG recovery.  On a stage failure the\n"
-                 "failed stage and diagnostic go to stderr and the exit code is 1.\n"
-                 "See docs/CLI.md for the complete reference and docs/PIPELINE.md for the\n"
-                 "stage-by-stage walkthrough.\n"
+                 "synthesis -> timed analysis -> STG recovery -> netlist emission and\n"
+                 "verification.  On a stage failure the failed stage and diagnostic go to\n"
+                 "stderr and the exit code is 1.  See docs/CLI.md for the complete reference\n"
+                 "and docs/PIPELINE.md for the stage-by-stage walkthrough.\n"
                  "\n"
                  "input:\n"
                  "  <spec.g>              astg specification file (petrify .g dialect)\n"
                  "  --corpus <name>       use an embedded paper benchmark instead of a file\n"
                  "  --list-corpus         list the embedded benchmarks and exit\n"
                  "\n"
-                 "flow options:\n"
-                 "  --strategy <s>        none | beam | full   (default: beam, the Fig. 9 search)\n"
-                 "  --deadline <ms>       search wall-clock budget in milliseconds, checked\n"
-                 "                        between search levels; a cut search returns its\n"
-                 "                        best-so-far result (default 0 = none;\n"
-                 "                        docs/SEARCH.md)\n"
-                 "  --search-jobs <n>     search scoring threads; 0 = all hardware cores\n"
-                 "                        (default 1; identical results for every value)\n"
-                 "  --w <x>               cost weight W in [0,1]; 0 biases CSC, 1 logic\n"
-                 "                        (default 0.5)\n"
-                 "  --frontier <n>        beam frontier size (default 4)\n"
-                 "  --max-levels <n>      beam depth limit (default 128)\n"
-                 "  --phases <2|4>        handshake expansion protocol (default 4)\n"
-                 "  --csc-signals <n>     max inserted state signals (default 4)\n"
-                 "  --no-perf             skip the timed critical-cycle analysis\n"
-                 "  --no-recover          skip region-based STG recovery (ignored with --out)\n"
-                 "  --verify-impl         emulate the emitted gate-level implementation\n"
-                 "                        against the spec's state graph; a divergence is a\n"
-                 "                        stage failure (docs/NETLIST.md)\n"
+                 "flow options (also for asynth batch; asynth client forwards them):\n");
+    std::fputs(service::option_help().c_str(), to);
+    std::fprintf(to,
                  "\n"
                  "output:\n"
                  "  --emit <backend>      print the emitted netlist to stdout (verilog |\n"
@@ -114,9 +100,9 @@ void print_usage(std::FILE* to) {
                  "  -h, --help            this message\n"
                  "\n"
                  "batch subcommand (corpus sweep on a work-stealing thread pool):\n"
+                 "  <flow options>        every flow option above, applied to each spec;\n"
+                 "                        specs the deadline cut are flagged deadline_hit\n"
                  "  --jobs <n>            worker threads; 0 = all hardware cores (default 0)\n"
-                 "  --deadline <ms>       per-spec search budget in milliseconds; cut specs\n"
-                 "                        are flagged deadline_hit in the report\n"
                  "  --seed <n>            first seed of the generated workload (default 1)\n"
                  "  --count <n>           number of generated random specs (default 64)\n"
                  "  --size <n>            handshake calls per generated spec (default 4)\n"
@@ -131,8 +117,6 @@ void print_usage(std::FILE* to) {
                  "                        an unsatisfiable combination with --size is a\n"
                  "                        structured error, not a silent downgrade\n"
                  "  --no-corpus           sweep only the generated workload\n"
-                 "  --verify-impl         emulate every synthesised netlist against its\n"
-                 "                        spec's state graph (corpus-wide verification sweep)\n"
                  "  --store <dir>         consult/fill a content-addressed result store;\n"
                  "                        finished specs are skipped on re-runs\n"
                  "  --report <file>       write the corpus report as JSON\n"
@@ -196,7 +180,8 @@ void print_usage(std::FILE* to) {
                  "  --req-id <s>          request id threaded through the daemon's log lines,\n"
                  "                        trace spans and the response (<= 128 chars;\n"
                  "                        generated for op synth when omitted)\n"
-                 "  --w <x> | --strategy <s>     per-request option overrides\n"
+                 "  <flow options>        every flow option above but --search-jobs, sent as\n"
+                 "                        a typed per-request override\n"
                  "  --out <file>          write the recovered (reduced) STG returned by the\n"
                  "                        daemon as astg text (op synth)\n"
                  "  --no-store            bypass the daemon's result store\n"
@@ -211,23 +196,58 @@ void print_usage(std::FILE* to) {
     return end && *end == '\0';
 }
 
-/// Parses a non-negative integer; prints a diagnostic naming @p flag on
-/// failure so a typo never exits silently.  Digits only: strtoull would
+/// Parses an integer in [@p min, @p max]; prints a diagnostic naming @p flag
+/// on failure so a typo never exits silently.  Digits only: strtoull would
 /// silently wrap negative or overflowing inputs into huge values.
-[[nodiscard]] bool parse_size(const char* flag, const char* s, std::size_t& out) {
+[[nodiscard]] bool parse_size(const char* flag, const char* s, std::size_t& out,
+                              std::size_t min = 0,
+                              std::size_t max = std::numeric_limits<std::size_t>::max()) {
     bool digits_only = *s != '\0';
     for (const char* c = s; *c; ++c)
         if (*c < '0' || *c > '9') digits_only = false;
     errno = 0;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (!digits_only || errno == ERANGE || v > std::numeric_limits<std::size_t>::max()) {
-        std::fprintf(stderr, "asynth: %s expects a non-negative integer, got '%s'\n", flag, s);
+    const unsigned long long v = std::strtoull(s, nullptr, 10);
+    if (!digits_only || errno == ERANGE || v < min || v > max) {
+        if (max == std::numeric_limits<std::size_t>::max())
+            std::fprintf(stderr, "asynth: %s expects an integer >= %zu, got '%s'\n", flag, min, s);
+        else
+            std::fprintf(stderr, "asynth: %s expects an integer in [%zu, %zu], got '%s'\n", flag,
+                         min, max, s);
         return false;
     }
-    (void)end;
     out = static_cast<std::size_t>(v);
     return true;
+}
+
+/// The whole file at @p path; nullopt when it cannot be opened.
+[[nodiscard]] std::optional<std::string> read_text(const std::string& path) {
+    std::ifstream in(path);
+    if (!in) return std::nullopt;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return std::move(text).str();
+}
+
+/// Writes @p content to @p path and says so unless @p quiet; an unwritable
+/// path prints a diagnostic and returns false.
+[[nodiscard]] bool write_text(const char* cmd, const std::string& path, const std::string& content,
+                              bool quiet) {
+    std::ofstream out(path, std::ios::binary);
+    out << content;
+    out.close();
+    if (!out) {
+        std::fprintf(stderr, "%s: cannot write '%s'\n", cmd, path.c_str());
+        return false;
+    }
+    if (!quiet) std::printf("wrote %s\n", path.c_str());
+    return true;
+}
+
+/// The embedded corpus entry called @p name; nullptr when none.
+[[nodiscard]] const benchmarks::corpus_entry* find_corpus(const std::string& name) {
+    for (const auto& e : benchmarks::corpus_table())
+        if (name == e.name) return &e;
+    return nullptr;
 }
 
 /// Parses a --log-level value; prints a diagnostic and returns false on typos.
@@ -266,6 +286,37 @@ void print_usage(std::FILE* to) {
     return buf;
 }
 
+/// One subcommand's argv walk.
+struct arg_walk {
+    const char* cmd;  ///< diagnostic prefix ("asynth batch")
+    int argc;
+    char** argv;
+    int i;
+
+    /// The current flag's argument, advancing past it; a missing argument is
+    /// a usage error (exit 2).
+    const char* value() {
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "%s: %s requires a value\n", cmd, argv[i]);
+            std::exit(2);
+        }
+        return argv[++i];
+    }
+
+    /// Reads the flow option @p o at argv[i] (and its argument) into @p opt
+    /// and returns its typed value; a bad value prints the option's
+    /// diagnostic and returns nullopt.
+    std::optional<service::json_value> flow_option(const service::pipeline_option& o,
+                                                   pipeline_options& opt) {
+        auto v = service::option_arg_value(
+            o, o.type == service::option_type::off_switch ? "" : value());
+        if (service::apply_option(o, v, opt)) return v;
+        std::fprintf(stderr, "%s: %s must be %s\n", cmd, o.flag,
+                     service::option_constraint(o).c_str());
+        return std::nullopt;
+    }
+};
+
 /// `asynth batch`: embedded corpus + generated workload through run_batch().
 /// Exit code 0 only when every spec completed (a CSC "no circuit" verdict
 /// still counts as completed -- the verdict is the result).
@@ -278,13 +329,6 @@ int run_batch_cli(int argc, char** argv) {
     std::string report_file, store_dir, trace_file, log_file;
     obs::log_level log_lvl = obs::log_level::warn;
 
-    auto need_value = [&](int& i, const char* flag) -> const char* {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "asynth batch: %s requires a value\n", flag);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
     auto parse_unit = [&](const char* flag, const char* s, double& out) {
         // !(0 <= out <= 1) rather than out < 0 || out > 1: NaN must fail too.
         if (!parse_double(s, out) || !(out >= 0 && out <= 1)) {
@@ -294,69 +338,56 @@ int run_batch_cli(int argc, char** argv) {
         return true;
     };
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
+    for (arg_walk a{"asynth batch", argc, argv, 2}; a.i < argc; ++a.i) {
+        const std::string arg = argv[a.i];
+        const char* flag = arg.c_str();
         if (arg == "-h" || arg == "--help") {
             print_usage(stdout);
             return 0;
+        } else if (const auto* o = service::find_option_flag(arg)) {
+            if (!a.flow_option(*o, opt.pipeline)) return 2;
         } else if (arg == "--jobs") {
-            if (!parse_size("--jobs", need_value(i, "--jobs"), opt.jobs)) return 2;
-        } else if (arg == "--deadline") {
-            if (!parse_size("--deadline", need_value(i, "--deadline"),
-                            opt.pipeline.search.deadline_ms))
-                return 2;
+            if (!parse_size(flag, a.value(), opt.jobs)) return 2;
         } else if (arg == "--seed") {
             std::size_t v = 0;
-            if (!parse_size("--seed", need_value(i, "--seed"), v)) return 2;
+            if (!parse_size(flag, a.value(), v)) return 2;
             seed = v;
         } else if (arg == "--count") {
-            if (!parse_size("--count", need_value(i, "--count"), count)) return 2;
+            if (!parse_size(flag, a.value(), count)) return 2;
         } else if (arg == "--size") {
             std::size_t v = 0;
-            if (!parse_size("--size", need_value(i, "--size"), v)) return 2;
             // Sizes beyond ~8 already exceed the state-graph budget; 4096 is
             // a generous bound that keeps the int cast from truncating.
-            if (v == 0 || v > 4096) {
-                std::fprintf(stderr, "asynth batch: --size must be in [1, 4096]\n");
-                return 2;
-            }
+            if (!parse_size(flag, a.value(), v, 1, 4096)) return 2;
             gen.size = static_cast<int>(v);
         } else if (arg == "--concurrency") {
-            if (!parse_unit("--concurrency", need_value(i, "--concurrency"), gen.concurrency))
-                return 2;
+            if (!parse_unit(flag, a.value(), gen.concurrency)) return 2;
         } else if (arg == "--choice") {
-            if (!parse_unit("--choice", need_value(i, "--choice"), gen.choice)) return 2;
+            if (!parse_unit(flag, a.value(), gen.choice)) return 2;
         } else if (arg == "--arbitration") {
-            if (!parse_unit("--arbitration", need_value(i, "--arbitration"), gen.arbitration))
-                return 2;
+            if (!parse_unit(flag, a.value(), gen.arbitration)) return 2;
         } else if (arg == "--counter") {
-            if (!parse_unit("--counter", need_value(i, "--counter"), gen.counter)) return 2;
+            if (!parse_unit(flag, a.value(), gen.counter)) return 2;
         } else if (arg == "--choice-ways") {
             std::size_t v = 0;
-            if (!parse_size("--choice-ways", need_value(i, "--choice-ways"), v)) return 2;
-            if (v < 2 || v > 64) {
-                std::fprintf(stderr, "asynth batch: --choice-ways must be in [2, 64]\n");
-                return 2;
-            }
+            if (!parse_size(flag, a.value(), v, 2, 64)) return 2;
             gen.min_choice_ways = static_cast<int>(v);
         } else if (arg == "--no-corpus") {
             use_corpus = false;
-        } else if (arg == "--verify-impl") {
-            opt.pipeline.verify_impl = true;
         } else if (arg == "--store") {
-            store_dir = need_value(i, "--store");
+            store_dir = a.value();
         } else if (arg == "--report") {
-            report_file = need_value(i, "--report");
+            report_file = a.value();
         } else if (arg == "--trace") {
-            trace_file = need_value(i, "--trace");
+            trace_file = a.value();
         } else if (arg == "--log-level") {
-            if (!parse_log_level(need_value(i, "--log-level"), log_lvl)) return 2;
+            if (!parse_log_level(a.value(), log_lvl)) return 2;
         } else if (arg == "--log-file") {
-            log_file = need_value(i, "--log-file");
+            log_file = a.value();
         } else if (arg == "-q" || arg == "--quiet") {
             quiet = true;
         } else {
-            std::fprintf(stderr, "asynth batch: unknown option '%s' (see --help)\n", arg.c_str());
+            std::fprintf(stderr, "asynth batch: unknown option '%s' (see --help)\n", flag);
             return 2;
         }
     }
@@ -402,17 +433,8 @@ int run_batch_cli(int argc, char** argv) {
     auto report = batch::run_batch(specs, opt);
     if (!trace_file.empty()) {
         session.stop();
-        std::ofstream out(trace_file, std::ios::binary);
-        out << session.chrome_json();
-        out.close();
-        if (!out) {
-            std::fprintf(stderr, "asynth batch: cannot write '%s'\n", trace_file.c_str());
-            return 1;
-        }
-        if (!quiet) {
-            std::fputs(session.flamegraph().c_str(), stdout);
-            std::printf("wrote %s\n", trace_file.c_str());
-        }
+        if (!quiet) std::fputs(session.flamegraph().c_str(), stdout);
+        if (!write_text("asynth batch", trace_file, session.chrome_json(), quiet)) return 1;
     }
 
     if (!quiet) std::fputs(batch::report_text(report).c_str(), stdout);
@@ -421,16 +443,9 @@ int run_batch_cli(int argc, char** argv) {
             std::fprintf(stderr, "asynth batch: %s failed at stage %s: %s\n", s.name.c_str(),
                          s.failed_stage.c_str(), s.message.c_str());
 
-    if (!report_file.empty()) {
-        std::ofstream out(report_file);
-        out << batch::report_json(report);
-        out.close();
-        if (!out) {
-            std::fprintf(stderr, "asynth batch: cannot write '%s'\n", report_file.c_str());
-            return 1;
-        }
-        if (!quiet) std::printf("wrote %s\n", report_file.c_str());
-    }
+    if (!report_file.empty() &&
+        !write_text("asynth batch", report_file, batch::report_json(report), quiet))
+        return 1;
     return report.failed == 0 ? 0 : 1;
 }
 
@@ -470,26 +485,20 @@ int run_fuzz_cli(int argc, char** argv) {
     bool quiet = false;
     std::string replay_file;
 
-    auto need_value = [&](int& i, const char* flag) -> const char* {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "asynth fuzz: %s requires a value\n", flag);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
+    for (arg_walk a{"asynth fuzz", argc, argv, 2}; a.i < argc; ++a.i) {
+        const std::string arg = argv[a.i];
+        const char* flag = arg.c_str();
         if (arg == "-h" || arg == "--help") {
             print_usage(stdout);
             return 0;
         } else if (arg == "--budget") {
-            if (!parse_budget(need_value(i, "--budget"), opt)) return 2;
+            if (!parse_budget(a.value(), opt)) return 2;
         } else if (arg == "--seed") {
             std::size_t v = 0;
-            if (!parse_size("--seed", need_value(i, "--seed"), v)) return 2;
+            if (!parse_size(flag, a.value(), v)) return 2;
             opt.seed = v;
         } else if (arg == "--oracle") {
-            const char* v = need_value(i, "--oracle");
+            const char* v = a.value();
             if (std::strcmp(v, "all") == 0) {
                 mask = fuzz::all_oracles;
             } else if (auto o = fuzz::oracle_from_name(v)) {
@@ -503,41 +512,35 @@ int run_fuzz_cli(int argc, char** argv) {
                 return 2;
             }
         } else if (arg == "--jobs") {
-            if (!parse_size("--jobs", need_value(i, "--jobs"), opt.jobs)) return 2;
+            if (!parse_size(flag, a.value(), opt.jobs)) return 2;
             if (opt.jobs == 0) opt.jobs = std::max(1u, std::thread::hardware_concurrency());
         } else if (arg == "--max-size") {
             std::size_t v = 0;
-            if (!parse_size("--max-size", need_value(i, "--max-size"), v)) return 2;
-            if (v < 2 || v > 64) {
-                std::fprintf(stderr, "asynth fuzz: --max-size must be in [2, 64]\n");
-                return 2;
-            }
+            if (!parse_size(flag, a.value(), v, 2, 64)) return 2;
             opt.max_size = static_cast<int>(v);
         } else if (arg == "--dir") {
-            opt.dir = need_value(i, "--dir");
+            opt.dir = a.value();
         } else if (arg == "--replay") {
-            replay_file = need_value(i, "--replay");
+            replay_file = a.value();
         } else if (arg == "-q" || arg == "--quiet") {
             quiet = true;
         } else {
-            std::fprintf(stderr, "asynth fuzz: unknown option '%s' (see --help)\n", arg.c_str());
+            std::fprintf(stderr, "asynth fuzz: unknown option '%s' (see --help)\n", flag);
             return 2;
         }
     }
     if (mask != 0) opt.oracles = mask;
 
     if (!replay_file.empty()) {
-        std::ifstream in(replay_file);
-        if (!in) {
+        const auto text = read_text(replay_file);
+        if (!text) {
             std::fprintf(stderr, "asynth fuzz: cannot open '%s'\n", replay_file.c_str());
             return 2;
         }
-        std::ostringstream text;
-        text << in.rdbuf();
         // The counterexample's '# profile:' header names the option profile
         // it was found under; replaying under another would not reproduce.
         fuzz::fuzz_profile profile = fuzz::fuzz_profile::deep;
-        std::istringstream lines(text.str());
+        std::istringstream lines(*text);
         for (std::string line; std::getline(lines, line);) {
             const std::string key = "# profile: ";
             if (line.rfind(key, 0) == 0) {
@@ -548,16 +551,11 @@ int run_fuzz_cli(int argc, char** argv) {
             if (!line.empty() && line[0] != '#') break;
         }
         std::string csp_text;
-        if (replay_file.size() > 2 && replay_file.ends_with(".g")) {
-            std::ifstream csp(replay_file.substr(0, replay_file.size() - 2) + ".csp");
-            if (csp) {
-                std::ostringstream ct;
-                ct << csp.rdbuf();
-                csp_text = ct.str();
-            }
-        }
+        if (replay_file.size() > 2 && replay_file.ends_with(".g"))
+            csp_text = read_text(replay_file.substr(0, replay_file.size() - 2) + ".csp")
+                           .value_or("");
         try {
-            std::string diag = fuzz::replay_text(text.str(), csp_text, opt.oracles, profile);
+            std::string diag = fuzz::replay_text(*text, csp_text, opt.oracles, profile);
             if (diag.empty()) {
                 if (!quiet) std::printf("replay OK: all enabled oracles agree\n");
                 return 0;
@@ -596,58 +594,41 @@ int run_serve_cli(int argc, char** argv) {
     // the journal; one-shot commands stay at warn.
     obs::log_level log_lvl = obs::log_level::info;
     std::string log_file;
-    auto need_value = [&](int& i, const char* flag) -> const char* {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "asynth serve: %s requires a value\n", flag);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
+    for (arg_walk a{"asynth serve", argc, argv, 2}; a.i < argc; ++a.i) {
+        const std::string arg = argv[a.i];
+        const char* flag = arg.c_str();
         if (arg == "-h" || arg == "--help") {
             print_usage(stdout);
             return 0;
         } else if (arg == "--socket") {
-            opt.socket_path = need_value(i, "--socket");
+            opt.socket_path = a.value();
         } else if (arg == "--store") {
-            opt.service.store_dir = need_value(i, "--store");
+            opt.service.store_dir = a.value();
         } else if (arg == "--jobs") {
-            if (!parse_size("--jobs", need_value(i, "--jobs"), opt.service.jobs)) return 2;
+            if (!parse_size(flag, a.value(), opt.service.jobs)) return 2;
         } else if (arg == "--queue") {
-            if (!parse_size("--queue", need_value(i, "--queue"), opt.service.queue_capacity))
-                return 2;
-            if (opt.service.queue_capacity == 0) {
-                std::fprintf(stderr, "asynth serve: --queue must be at least 1\n");
-                return 2;
-            }
+            if (!parse_size(flag, a.value(), opt.service.queue_capacity, 1)) return 2;
         } else if (arg == "--report") {
-            opt.report_file = need_value(i, "--report");
+            opt.report_file = a.value();
         } else if (arg == "--trace") {
-            opt.trace_dir = need_value(i, "--trace");
+            opt.trace_dir = a.value();
         } else if (arg == "--log-level") {
-            if (!parse_log_level(need_value(i, "--log-level"), log_lvl)) return 2;
+            if (!parse_log_level(a.value(), log_lvl)) return 2;
         } else if (arg == "--log-file") {
-            log_file = need_value(i, "--log-file");
+            log_file = a.value();
         } else if (arg == "--slow-ms") {
             double t = 0;
-            if (!parse_double(need_value(i, "--slow-ms"), t) || !(t > 0)) {
+            if (!parse_double(a.value(), t) || !(t > 0)) {
                 std::fprintf(stderr, "asynth serve: --slow-ms expects milliseconds > 0\n");
                 return 2;
             }
             opt.service.slow_ms = t;
         } else if (arg == "--high-water") {
-            if (!parse_size("--high-water", need_value(i, "--high-water"),
-                            opt.service.ready_high_water))
-                return 2;
-            if (opt.service.ready_high_water == 0) {
-                std::fprintf(stderr, "asynth serve: --high-water must be at least 1\n");
-                return 2;
-            }
+            if (!parse_size(flag, a.value(), opt.service.ready_high_water, 1)) return 2;
         } else if (arg == "-q" || arg == "--quiet") {
             opt.verbose = false;
         } else {
-            std::fprintf(stderr, "asynth serve: unknown option '%s' (see --help)\n", arg.c_str());
+            std::fprintf(stderr, "asynth serve: unknown option '%s' (see --help)\n", flag);
             return 2;
         }
     }
@@ -665,51 +646,48 @@ int run_client_cli(int argc, char** argv) {
     std::string op = "synth", corpus_name, input_file, name, out_file, req_id;
     std::size_t id = 0;
     bool quiet = false, no_store = false;
-    double w = -1.0;
-    std::string strategy;
+    // Per-request overrides by table row; a repeated flag keeps its last value.
+    const auto table = service::pipeline_option_table();
+    std::vector<std::optional<service::json_value>> overrides(table.size());
 
-    auto need_value = [&](int& i, const char* flag) -> const char* {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "asynth client: %s requires a value\n", flag);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
+    for (arg_walk a{"asynth client", argc, argv, 2}; a.i < argc; ++a.i) {
+        const std::string arg = argv[a.i];
+        const char* flag = arg.c_str();
+        const auto* o = service::find_option_flag(arg);
         if (arg == "-h" || arg == "--help") {
             print_usage(stdout);
             return 0;
+        } else if (o && o->per_request()) {
+            // Checked here against scratch options, so a bad value is a usage
+            // error before any connection; the daemon applies it to its own
+            // defaults.
+            pipeline_options checked;
+            auto v = a.flow_option(*o, checked);
+            if (!v) return 2;
+            overrides[static_cast<std::size_t>(o - table.data())] = std::move(v);
         } else if (arg == "--socket") {
-            opt.socket_path = need_value(i, "--socket");
+            opt.socket_path = a.value();
         } else if (arg == "--op") {
-            op = need_value(i, "--op");
+            op = a.value();
         } else if (arg == "--corpus") {
-            corpus_name = need_value(i, "--corpus");
+            corpus_name = a.value();
         } else if (arg == "--name") {
-            name = need_value(i, "--name");
+            name = a.value();
         } else if (arg == "--id") {
-            if (!parse_size("--id", need_value(i, "--id"), id)) return 2;
+            if (!parse_size(flag, a.value(), id)) return 2;
         } else if (arg == "--req-id") {
-            req_id = need_value(i, "--req-id");
+            req_id = a.value();
             if (req_id.empty() || req_id.size() > 128) {
                 std::fprintf(stderr, "asynth client: --req-id must be 1..128 characters\n");
                 return 2;
             }
-        } else if (arg == "--w") {
-            if (!parse_double(need_value(i, "--w"), w) || w < 0 || w > 1) {
-                std::fprintf(stderr, "asynth client: --w expects a number in [0,1]\n");
-                return 2;
-            }
-        } else if (arg == "--strategy") {
-            strategy = need_value(i, "--strategy");
         } else if (arg == "--out") {
-            out_file = need_value(i, "--out");
+            out_file = a.value();
         } else if (arg == "--no-store") {
             no_store = true;
         } else if (arg == "--timeout") {
             double t = 0;
-            if (!parse_double(need_value(i, "--timeout"), t) || !(t > 0)) {
+            if (!parse_double(a.value(), t) || !(t > 0)) {
                 std::fprintf(stderr, "asynth client: --timeout expects seconds > 0\n");
                 return 2;
             }
@@ -717,8 +695,7 @@ int run_client_cli(int argc, char** argv) {
         } else if (arg == "-q" || arg == "--quiet") {
             quiet = true;
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "asynth client: unknown option '%s' (see --help)\n",
-                         arg.c_str());
+            std::fprintf(stderr, "asynth client: unknown option '%s' (see --help)\n", flag);
             return 2;
         } else if (input_file.empty()) {
             input_file = arg;
@@ -745,9 +722,7 @@ int run_client_cli(int argc, char** argv) {
             return 2;
         }
         if (!corpus_name.empty()) {
-            const benchmarks::corpus_entry* entry = nullptr;
-            for (const auto& e : benchmarks::corpus_table())
-                if (corpus_name == e.name) entry = &e;
+            const auto* entry = find_corpus(corpus_name);
             if (!entry) {
                 std::fprintf(stderr, "asynth client: unknown corpus entry '%s'\n",
                              corpus_name.c_str());
@@ -755,20 +730,16 @@ int run_client_cli(int argc, char** argv) {
             }
             spec_text = write_astg(entry->make());
             if (name.empty()) name = corpus_name;
+        } else if (auto text = read_text(input_file)) {
+            spec_text = std::move(*text);
         } else {
-            std::ifstream in(input_file);
-            if (!in) {
-                std::fprintf(stderr, "asynth client: cannot open '%s'\n", input_file.c_str());
-                return 2;
-            }
-            std::ostringstream text;
-            text << in.rdbuf();
-            spec_text = text.str();
+            std::fprintf(stderr, "asynth client: cannot open '%s'\n", input_file.c_str());
+            return 2;
         }
         line.field("spec", spec_text);
         if (!name.empty()) line.field("name", name);
-        if (w >= 0.0) line.field("w", w);
-        if (!strategy.empty()) line.field("strategy", strategy);
+        for (std::size_t k = 0; k < table.size(); ++k)
+            if (overrides[k]) service::append_option_field(line, table[k], *overrides[k]);
         if (no_store) line.field("no_store", true);
         if (!out_file.empty()) line.field("astg", true);
     } else if (!out_file.empty()) {
@@ -791,12 +762,7 @@ int run_client_cli(int argc, char** argv) {
                          "(daemon running with recovery disabled?)\n");
             return 1;
         }
-        std::ofstream out(out_file);
-        out << astg->str;
-        if (!out) {
-            std::fprintf(stderr, "asynth client: cannot write '%s'\n", out_file.c_str());
-            return 1;
-        }
+        if (!write_text("asynth client", out_file, astg->str, true)) return 1;
     }
     // op metrics carries a Prometheus text exposition escaped inside the
     // JSON line; print it raw so the output pipes straight into a scrape
@@ -828,16 +794,8 @@ int main(int argc, char** argv) {
     std::vector<std::string> emit_backends;
     bool quiet = false, print_spec = false;
 
-    auto need_value = [&](int& i, const char* flag) -> const char* {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "asynth: %s requires a value\n", flag);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    for (arg_walk a{"asynth", argc, argv, 1}; a.i < argc; ++a.i) {
+        const std::string arg = argv[a.i];
         if (arg == "-h" || arg == "--help") {
             print_usage(stdout);
             return 0;
@@ -845,63 +803,12 @@ int main(int argc, char** argv) {
             for (const auto& e : benchmarks::corpus_table())
                 std::printf("%-12s %s\n", e.name, e.blurb);
             return 0;
+        } else if (const auto* o = service::find_option_flag(arg)) {
+            if (!a.flow_option(*o, opt)) return 2;
         } else if (arg == "--corpus") {
-            corpus_name = need_value(i, "--corpus");
-        } else if (arg == "--strategy") {
-            const std::string v = need_value(i, "--strategy");
-            if (v == "none")
-                opt.strategy = reduction_strategy::none;
-            else if (v == "beam")
-                opt.strategy = reduction_strategy::beam;
-            else if (v == "full")
-                opt.strategy = reduction_strategy::full;
-            else {
-                std::fprintf(stderr, "asynth: unknown strategy '%s'\n", v.c_str());
-                return 2;
-            }
-        } else if (arg == "--deadline") {
-            if (!parse_size("--deadline", need_value(i, "--deadline"), opt.search.deadline_ms))
-                return 2;
-        } else if (arg == "--search-jobs") {
-            if (!parse_size("--search-jobs", need_value(i, "--search-jobs"), opt.search.jobs))
-                return 2;
-            // 0 = all hardware cores, mirroring the batch subcommand's --jobs.
-            if (opt.search.jobs == 0)
-                opt.search.jobs = std::max(1u, std::thread::hardware_concurrency());
-        } else if (arg == "--w") {
-            if (!parse_double(need_value(i, "--w"), opt.search.cost.w) || opt.search.cost.w < 0 ||
-                opt.search.cost.w > 1) {
-                std::fprintf(stderr, "asynth: --w expects a number in [0,1]\n");
-                return 2;
-            }
-        } else if (arg == "--frontier") {
-            if (!parse_size("--frontier", need_value(i, "--frontier"), opt.search.size_frontier))
-                return 2;
-            if (opt.search.size_frontier == 0) {
-                std::fprintf(stderr, "asynth: --frontier must be at least 1\n");
-                return 2;
-            }
-        } else if (arg == "--max-levels") {
-            if (!parse_size("--max-levels", need_value(i, "--max-levels"), opt.search.max_levels))
-                return 2;
-        } else if (arg == "--phases") {
-            const std::string v = need_value(i, "--phases");
-            if (v != "2" && v != "4") {
-                std::fprintf(stderr, "asynth: --phases expects 2 or 4\n");
-                return 2;
-            }
-            opt.expand.phases = v == "2" ? 2 : 4;
-        } else if (arg == "--csc-signals") {
-            if (!parse_size("--csc-signals", need_value(i, "--csc-signals"), opt.csc.max_signals))
-                return 2;
-        } else if (arg == "--no-perf") {
-            opt.run_performance = false;
-        } else if (arg == "--no-recover") {
-            opt.recover_stg = false;
-        } else if (arg == "--verify-impl") {
-            opt.verify_impl = true;
+            corpus_name = a.value();
         } else if (arg == "--emit") {
-            const char* v = need_value(i, "--emit");
+            const char* v = a.value();
             if (!find_backend(v)) {
                 std::fprintf(stderr, "asynth: unknown --emit backend '%s' (verilog | cmodel)\n",
                              v);
@@ -909,15 +816,15 @@ int main(int argc, char** argv) {
             }
             emit_backends.push_back(v);
         } else if (arg == "--out") {
-            out_file = need_value(i, "--out");
+            out_file = a.value();
         } else if (arg == "--dot") {
-            dot_file = need_value(i, "--dot");
+            dot_file = a.value();
         } else if (arg == "--trace") {
-            trace_file = need_value(i, "--trace");
+            trace_file = a.value();
         } else if (arg == "--log-level") {
-            if (!parse_log_level(need_value(i, "--log-level"), log_lvl)) return 2;
+            if (!parse_log_level(a.value(), log_lvl)) return 2;
         } else if (arg == "--log-file") {
-            log_file = need_value(i, "--log-file");
+            log_file = a.value();
         } else if (arg == "--print-spec") {
             print_spec = true;
         } else if (arg == "-q" || arg == "--quiet") {
@@ -950,9 +857,7 @@ int main(int argc, char** argv) {
 
     pipeline_result result;
     if (!corpus_name.empty()) {
-        const benchmarks::corpus_entry* entry = nullptr;
-        for (const auto& e : benchmarks::corpus_table())
-            if (corpus_name == e.name) entry = &e;
+        const auto* entry = find_corpus(corpus_name);
         if (!entry) {
             std::fprintf(stderr, "asynth: unknown corpus entry '%s' (try --list-corpus)\n",
                          corpus_name.c_str());
@@ -961,31 +866,18 @@ int main(int argc, char** argv) {
         stg spec = entry->make();
         if (print_spec && !quiet) std::printf("%s\n", write_astg(spec).c_str());
         result = run_pipeline(spec, opt);
+    } else if (const auto text = read_text(input_file)) {
+        if (print_spec && !quiet) std::printf("%s\n", text->c_str());
+        result = run_pipeline_text(*text, opt);
     } else {
-        std::ifstream in(input_file);
-        if (!in) {
-            std::fprintf(stderr, "asynth: cannot open '%s'\n", input_file.c_str());
-            return 2;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        if (print_spec && !quiet) std::printf("%s\n", text.str().c_str());
-        result = run_pipeline_text(text.str(), opt);
+        std::fprintf(stderr, "asynth: cannot open '%s'\n", input_file.c_str());
+        return 2;
     }
 
     if (!trace_file.empty()) {
         session.stop();
-        std::ofstream tout(trace_file, std::ios::binary);
-        tout << session.chrome_json();
-        tout.close();
-        if (!tout) {
-            std::fprintf(stderr, "asynth: cannot write '%s'\n", trace_file.c_str());
-            return 1;
-        }
-        if (!quiet) {
-            std::fputs(session.flamegraph().c_str(), stdout);
-            std::printf("wrote %s\n", trace_file.c_str());
-        }
+        if (!quiet) std::fputs(session.flamegraph().c_str(), stdout);
+        if (!write_text("asynth", trace_file, session.chrome_json(), quiet)) return 1;
     }
 
     if (!quiet) std::fputs(pipeline_summary(result).c_str(), stdout);
@@ -995,17 +887,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "asynth: stage %s failed: %s\n",
                      result.failed ? stage_name(*result.failed) : "?", result.message.c_str());
 
-    auto write_file = [&](const std::string& path, const std::string& content) {
-        std::ofstream out(path);
-        out << content;
-        out.close();
-        if (!out) {
-            std::fprintf(stderr, "asynth: cannot write '%s'\n", path.c_str());
-            return false;
-        }
-        if (!quiet) std::printf("wrote %s\n", path.c_str());
-        return true;
-    };
     // Requested emissions go to stdout even under -q: the flag exists so the
     // netlist can be piped into other tools.
     if (!emit_backends.empty()) {
@@ -1024,12 +905,12 @@ int main(int argc, char** argv) {
                          result.recovered.message.c_str());
             return 1;
         }
-        if (!write_file(out_file, write_astg(result.recovered.net))) return 1;
+        if (!write_text("asynth", out_file, write_astg(result.recovered.net), quiet)) return 1;
     }
     // A valid reduced subgraph always keeps the initial state live; after a
     // reduce-stage failure it is a default view with no base to render.
-    if (!dot_file.empty() && result.base_sg && result.reduced.live_states().size() > 0) {
-        if (!write_file(dot_file, write_dot(result.reduced))) return 1;
-    }
+    if (!dot_file.empty() && result.base_sg && result.reduced.live_states().size() > 0 &&
+        !write_text("asynth", dot_file, write_dot(result.reduced), quiet))
+        return 1;
     return result.completed ? 0 : 1;
 }

@@ -20,12 +20,12 @@ void print_ablation() {
                                                  : benchmarks::mmu_controller();
         auto sg = state_graph::generate(expand_handshakes(spec)).graph;
         for (double w : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-            flow_options o;
+            pipeline_options o;
             o.strategy = reduction_strategy::beam;
             o.search.cost.w = w;
             o.search.size_frontier = 4;
             o.csc.max_signals = 6;
-            auto rep = run_flow_from_sg(sg, o);
+            auto rep = run_pipeline(sg, o);
             std::printf("%-8s %6.2f %10zu %8zu %8zu %10.0f\n", which, w, rep.search.explored,
                         rep.reduced_cost.csc_pairs, rep.reduced_cost.literals, rep.area());
         }

@@ -16,29 +16,16 @@ namespace {
 
 void print_figure() {
     std::printf("\n=== Fig. 10: PAR component ===\n");
-    auto par = benchmarks::par_component();
-    auto expanded = expand_handshakes(par);
-    auto sg = state_graph::generate(expanded).graph;
+    auto sg = state_graph::generate(expand_handshakes(benchmarks::par_component())).graph;
     std::printf("4-phase expansion: %zu states, %zu concurrent event pairs\n", sg.state_count(),
                 count_concurrent_pairs(subgraph::full(sg)));
 
-    flow_options direct;
-    direct.strategy = reduction_strategy::none;
-    direct.csc.max_signals = 6;
-    auto max_rep = run_flow_from_sg(sg, direct);
+    const auto rows = fig10_rows();
     print_header("PAR implementations");
-    print_row("max concurrency", max_rep);
-
-    std::vector<std::pair<sg_event, sg_event>> keep = {
-        {sg_event{signal_id(sg, "bi"), edge::plus}, sg_event{signal_id(sg, "ci"), edge::plus}}};
-    auto red_rep = chained_flow(sg, keep);
-    print_row("reduced (b? || c?)", red_rep);
-
-    flow_options manual;
-    manual.strategy = reduction_strategy::none;
-    auto man_rep =
-        run_flow_from_sg(state_graph::generate(benchmarks::par_manual()).graph, manual);
-    print_row("manual (Tangram)", man_rep);
+    print_rows(rows);
+    const auto& max_rep = rows[0].result;
+    const auto& red_rep = rows[1].result;
+    const auto& man_rep = rows[2].result;
 
     if (max_rep.synth.ok && red_rep.synth.ok && man_rep.synth.ok) {
         std::printf("\nmax-conc / reduced area ratio: %.2fx (paper: ~2x)\n",

@@ -13,10 +13,10 @@ using namespace bench_util;
 namespace {
 
 void print_equations(const char* tag, const state_graph& sg) {
-    flow_options o;
+    pipeline_options o;
     o.strategy = reduction_strategy::none;
-    auto rep = run_flow_from_sg(sg, o);
-    std::printf("%s: area %.0f, %zu CSC signal(s)\n", tag, rep.area(), rep.csc_signals());
+    auto rep = run_pipeline(sg, o);
+    std::printf("%s: area %.0f, %zu CSC signal(s)\n", tag, rep.area(), rep.csc.signals_inserted);
     if (rep.synth.ok)
         for (const auto& i : rep.synth.ckt.impls) std::printf("    %s\n", i.equation.c_str());
 }
@@ -30,7 +30,7 @@ void print_figure() {
     auto sg = state_graph::generate(expand_handshakes(benchmarks::lr_process())).graph;
     auto rep = chained_flow(sg);
     std::printf("(c) automatic reshuffling: area %.0f, %zu CSC signal(s)\n", rep.area(),
-                rep.csc_signals());
+                rep.csc.signals_inserted);
     if (rep.synth.ok)
         for (const auto& i : rep.synth.ckt.impls) std::printf("    %s\n", i.equation.c_str());
     print_equations("(d) max concurrency", sg);

@@ -21,39 +21,17 @@ namespace {
 void print_table() {
     print_header("Table 1: LR process (paper: Q-module 104/1/14/4, full red 0/0/8/4, "
                  "max conc 168/2/13/3, lo||ro worst)");
-    auto lr = benchmarks::lr_process();
-    {
-        flow_options o;
-        o.strategy = reduction_strategy::none;
-        print_row("Q-module (hand)",
-                  run_flow_from_sg(state_graph::generate(benchmarks::qmodule_lr()).graph, o));
-    }
-    {
-        flow_options o;
-        o.strategy = reduction_strategy::beam;
-        o.search.cost.w = 0.2;
-        o.search.size_frontier = 6;
-        print_row("Full reduction", run_flow(lr, o));
-    }
-    {
-        flow_options o;
-        o.strategy = reduction_strategy::none;
-        print_row("Max. concurrency", run_flow(lr, o));
-    }
-    print_row("li || ri", keep_pair_flow(lr, "li", "ri"));
-    print_row("li || ro", keep_pair_flow(lr, "li", "ro"));
-    print_row("lo || ri", keep_pair_flow(lr, "lo", "ri"));
-    print_row("lo || ro", keep_pair_flow(lr, "lo", "ro"));
+    print_rows(table1_rows());
 }
 
 void bm_lr_full_flow(benchmark::State& state) {
     auto lr = benchmarks::lr_process();
-    flow_options o;
+    pipeline_options o;
     o.strategy = reduction_strategy::beam;
     o.search.cost.w = 0.2;
     o.search.size_frontier = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
-        auto rep = run_flow(lr, o);
+        auto rep = run_pipeline(lr, o);
         benchmark::DoNotOptimize(rep.area());
     }
 }

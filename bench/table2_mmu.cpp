@@ -17,56 +17,10 @@ using namespace bench_util;
 
 namespace {
 
-flow_report keep_three(const stg& spec, const char* c1, const char* c2, const char* c3) {
-    auto expanded = expand_handshakes(spec);
-    auto sg = state_graph::generate(expanded).graph;
-    flow_options o;
-    o.strategy = reduction_strategy::full;
-    o.search.cost.w = 0.2;
-    o.csc.max_signals = 6;
-    const std::string w1 = std::string(c1) + "o", w2 = std::string(c2) + "o",
-                      w3 = std::string(c3) + "o";
-    keep_minus_pair(o.search, sg, w1, w2);
-    keep_minus_pair(o.search, sg, w1, w3);
-    keep_minus_pair(o.search, sg, w2, w3);
-    auto rep = run_flow_from_sg(sg, o);
-    if (rep.csc.solved) return rep;
-    // The greedy full reduction can land on an encoding our insertion cannot
-    // fix; the CSC-biased beam avoids those configurations.
-    o.strategy = reduction_strategy::beam;
-    o.search.cost.w = 0.1;
-    o.search.size_frontier = 6;
-    return run_flow_from_sg(std::move(sg), o);
-}
-
 void print_table() {
     print_header("Table 2: MMU controller (paper: original 744/2/100/4, reduced 208/0/118/6, "
                  "csc red 96/1/123/7, ||(b,m,r) 384/0/94/4)");
-    auto mmu = benchmarks::mmu_controller();
-    {
-        flow_options o;
-        o.strategy = reduction_strategy::none;
-        o.csc.max_signals = 6;
-        o.csc.beam_width = 3;
-        print_row("original", run_flow(mmu, o));
-    }
-    {
-        flow_options o;
-        o.strategy = reduction_strategy::full;
-        o.search.cost.w = 0.2;
-        print_row("original reduced", run_flow(mmu, o));
-    }
-    {
-        flow_options o;
-        o.strategy = reduction_strategy::beam;
-        o.search.cost.w = 0.0;  // pure CSC bias, the paper's W -> 0 regime
-        o.search.size_frontier = 4;
-        print_row("csc reduced", run_flow(mmu, o));
-    }
-    print_row("|| (b,l,r)", keep_three(mmu, "b", "l", "r"));
-    print_row("|| (b,m,r)", keep_three(mmu, "b", "m", "r"));
-    print_row("|| (b,l,m)", keep_three(mmu, "b", "l", "m"));
-    print_row("|| (l,m,r)", keep_three(mmu, "l", "m", "r"));
+    print_rows(table2_rows());
 }
 
 void bm_mmu_sg_generation(benchmark::State& state) {

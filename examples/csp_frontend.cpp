@@ -5,47 +5,53 @@
 //   ./csp_frontend "p = a? ; b! ; a!"   # or pass your own process text
 #include <cstdio>
 
-#include "core/flow.hpp"
 #include "petri/astg_io.hpp"
+#include "pipeline/pipeline.hpp"
 #include "spec/csp.hpp"
 
 using namespace asynth;
 
 namespace {
 
-void synthesise(const char* text) {
+/// Runs one process through the flow; false when it does not parse or a
+/// pipeline stage fails.
+bool synthesise(const char* text) {
     std::printf("\nprocess: %s\n", text);
+    stg spec;
     try {
-        auto spec = parse_csp(text);
-        flow_options o;
-        o.strategy = reduction_strategy::beam;
-        o.search.cost.w = 0.3;
-        o.search.size_frontier = 4;
-        auto rep = run_flow(spec, o);
-        if (!rep.synth.ok) {
-            std::printf("  synthesis failed: %s\n", rep.synth.message.c_str());
-            return;
-        }
-        std::printf("  expanded to %zu states, reduced to %zu; area %.0f, cycle %.1f\n",
-                    rep.base_sg->state_count(), rep.reduced.live_state_count(), rep.area(),
-                    rep.cycle());
-        for (const auto& i : rep.synth.ckt.impls) std::printf("  %s\n", i.equation.c_str());
+        spec = parse_csp(text);
     } catch (const error& e) {
         std::printf("  error: %s\n", e.what());
+        return false;
     }
+    pipeline_options o;
+    o.strategy = reduction_strategy::beam;
+    o.search.cost.w = 0.3;
+    o.search.size_frontier = 4;
+    auto rep = run_pipeline(spec, o);
+    if (!rep.completed) {
+        std::printf("  error: %s\n", rep.message.c_str());
+        return false;
+    }
+    if (!rep.synth.ok) {
+        std::printf("  synthesis failed: %s\n", rep.synth.message.c_str());
+        return true;
+    }
+    std::printf("  expanded to %zu states, reduced to %zu; area %.0f, cycle %.1f\n",
+                rep.base_sg->state_count(), rep.reduced.live_state_count(), rep.area(),
+                rep.cycle());
+    for (const auto& i : rep.synth.ckt.impls) std::printf("  %s\n", i.equation.c_str());
+    return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc > 1) {
-        synthesise(argv[1]);
-        return 0;
-    }
+    if (argc > 1) return synthesise(argv[1]) ? 0 : 1;
     // The paper's two case studies, straight from CSP-like text.
-    synthesise("lr = l? ; r! ; r? ; l!");
-    synthesise("par = a? ; (b! ; b?) || (c! ; c?) ; a!");
+    bool ok = synthesise("lr = l? ; r! ; r? ; l!");
+    ok = synthesise("par = a? ; (b! ; b?) || (c! ; c?) ; a!") && ok;
     // A three-way sequencer.
-    synthesise("seq3 = t? ; a! ; a? ; b! ; b? ; c! ; c? ; t!");
-    return 0;
+    ok = synthesise("seq3 = t? ; a! ; a? ; b! ; b? ; c! ; c? ; t!") && ok;
+    return ok ? 0 : 1;
 }

@@ -23,8 +23,9 @@
 #include <iostream>
 #include <sstream>
 
-#include "core/flow.hpp"
 #include "petri/astg_io.hpp"
+#include "pipeline/pipeline.hpp"
+#include "service/options.hpp"
 
 using namespace asynth;
 
@@ -55,32 +56,33 @@ shop! shop?
         std::printf("(no file given; using the built-in demo spec)\n");
     }
 
-    flow_options o;
+    pipeline_options o;
     o.strategy = reduction_strategy::beam;
-    o.search.cost.w = argc > 2 ? std::atof(argv[2]) : 0.5;
+    o.search.cost.w = 0.5;
+    if (argc > 2 && !service::parse_unit(argv[2], o.search.cost.w)) {
+        std::fprintf(stderr, "W must be %s\n", service::unit_constraint);
+        return 2;
+    }
     o.search.size_frontier = argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 4;
-    o.recover = true;
 
-    try {
-        auto spec = parse_astg(text);
-        auto rep = run_flow(spec, o);
-        std::printf("expanded STG:\n%s\n", write_astg(rep.expanded).c_str());
-        std::printf("state graph: %zu states -> reduced to %zu (cost %.1f -> %.1f)\n",
-                    rep.base_sg->state_count(), rep.reduced.live_state_count(),
-                    rep.initial_cost.value, rep.reduced_cost.value);
-        std::printf("CSC: %zu state signal(s) inserted%s\n", rep.csc_signals(),
-                    rep.csc.solved ? "" : (" [" + rep.csc.message + "]").c_str());
-        if (rep.synth.ok) {
-            std::printf("circuit (area %.0f, cycle %.1f):\n", rep.area(), rep.cycle());
-            for (const auto& i : rep.synth.ckt.impls) std::printf("  %s\n", i.equation.c_str());
-        } else {
-            std::printf("synthesis failed: %s\n", rep.synth.message.c_str());
-        }
-        if (rep.recovered.ok)
-            std::printf("\nrecovered STG:\n%s", write_astg(rep.recovered.net).c_str());
-    } catch (const error& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
+    auto rep = run_pipeline_text(text, o);
+    if (!rep.completed) {
+        std::fprintf(stderr, "error: %s\n", rep.message.c_str());
         return 1;
     }
+    std::printf("expanded STG:\n%s\n", write_astg(rep.expanded).c_str());
+    std::printf("state graph: %zu states -> reduced to %zu (cost %.1f -> %.1f)\n",
+                rep.base_sg->state_count(), rep.reduced.live_state_count(),
+                rep.initial_cost.value, rep.reduced_cost.value);
+    std::printf("CSC: %zu state signal(s) inserted%s\n", rep.csc.signals_inserted,
+                rep.csc.solved ? "" : (" [" + rep.csc.message + "]").c_str());
+    if (rep.synth.ok) {
+        std::printf("circuit (area %.0f, cycle %.1f):\n", rep.area(), rep.cycle());
+        for (const auto& i : rep.synth.ckt.impls) std::printf("  %s\n", i.equation.c_str());
+    } else {
+        std::printf("synthesis failed: %s\n", rep.synth.message.c_str());
+    }
+    if (rep.recovered.ok)
+        std::printf("\nrecovered STG:\n%s", write_astg(rep.recovered.net).c_str());
     return 0;
 }

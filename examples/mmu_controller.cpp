@@ -5,8 +5,8 @@
 // reshuffling space under different cost weights W.
 #include <cstdio>
 
-#include "core/flow.hpp"
 #include "petri/astg_io.hpp"
+#include "pipeline/pipeline.hpp"
 
 using namespace asynth;
 
@@ -33,17 +33,22 @@ r! r?
 )");
     std::printf("specification:\n%s\n", write_astg(spec).c_str());
 
+    bool ok = true;
     for (double w : {0.1, 0.5, 1.0}) {
-        flow_options o;
+        pipeline_options o;
         o.strategy = reduction_strategy::beam;
         o.search.cost.w = w;
         o.search.size_frontier = 2;
         o.csc.max_signals = 6;
-        auto rep = run_flow(spec, o);
+        auto rep = run_pipeline(spec, o);
+        ok = ok && rep.completed;
         std::printf("W = %.1f: explored %4zu SGs -> ", w, rep.search.explored);
-        if (rep.synth.ok)
+        if (!rep.completed)
+            std::printf("error: %s\n", rep.message.c_str());
+        else if (rep.synth.ok)
             std::printf("area %4.0f, %zu CSC signal(s), cycle %.0f, %zu input events\n",
-                        rep.area(), rep.csc_signals(), rep.cycle(), rep.input_events());
+                        rep.area(), rep.csc.signals_inserted, rep.cycle(),
+                        rep.perf.input_events_on_cycle);
         else
             std::printf("synthesis failed: %s\n", rep.synth.message.c_str());
     }
@@ -51,13 +56,14 @@ r! r?
     // Show the initial (maximally concurrent) baseline for contrast.  The
     // CSC beam is narrowed to keep the example fast: the unreduced SG is the
     // most expensive one to encode.
-    flow_options o;
+    pipeline_options o;
     o.strategy = reduction_strategy::none;
     o.csc.max_signals = 6;
     o.csc.beam_width = 1;
-    auto rep = run_flow(spec, o);
+    auto rep = run_pipeline(spec, o);
+    if (!rep.completed) std::printf("no reduction: error: %s\n", rep.message.c_str());
     if (rep.synth.ok)
         std::printf("no reduction: area %4.0f, %zu CSC signal(s), cycle %.0f\n", rep.area(),
-                    rep.csc_signals(), rep.cycle());
-    return 0;
+                    rep.csc.signals_inserted, rep.cycle());
+    return ok && rep.completed ? 0 : 1;
 }

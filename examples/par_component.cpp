@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "benchmarks/corpus.hpp"
-#include "core/flow.hpp"
 #include "core/search.hpp"
 #include "petri/astg_io.hpp"
+#include "pipeline/pipeline.hpp"
 
 using namespace asynth;
 
@@ -45,23 +45,27 @@ int main() {
                                       *base->find_event(sig("ci"), edge::plus))
                     ? "yes" : "no");
 
-    flow_options fo;
-    fo.strategy = reduction_strategy::none;
-    fo.recover = true;
-    auto rep = run_flow_from_sg(full.best.materialize(), fo);
+    pipeline_options o;
+    o.strategy = reduction_strategy::none;
+    auto rep = run_pipeline(full.best.materialize(), o);
+    if (!rep.completed) {
+        std::printf("error: %s\n", rep.message.c_str());
+        return 1;
+    }
     if (rep.synth.ok) {
         std::printf("\nautomatic circuit (area %.0f, %zu state signal(s)):\n", rep.area(),
-                    rep.csc_signals());
+                    rep.csc.signals_inserted);
         for (const auto& i : rep.synth.ckt.impls) std::printf("  %s\n", i.equation.c_str());
     }
     if (rep.recovered.ok)
         std::printf("\nreshuffled STG (paper Fig. 10.d):\n%s",
                     write_astg(rep.recovered.net).c_str());
 
-    flow_options manual_opts;
-    manual_opts.strategy = reduction_strategy::none;
-    auto manual = run_flow_from_sg(state_graph::generate(benchmarks::par_manual()).graph,
-                                   manual_opts);
+    auto manual = run_pipeline(state_graph::generate(benchmarks::par_manual()).graph, o);
+    if (!manual.completed) {
+        std::printf("error: %s\n", manual.message.c_str());
+        return 1;
+    }
     if (manual.synth.ok) {
         std::printf("\nmanual Tangram-style circuit (area %.0f):\n", manual.area());
         for (const auto& i : manual.synth.ckt.impls) std::printf("  %s\n", i.equation.c_str());

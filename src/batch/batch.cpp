@@ -14,18 +14,12 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "petri/astg_io.hpp"
+#include "util/json_escape.hpp"
+#include "util/percentile.hpp"
 
 namespace asynth::batch {
 
 namespace {
-
-/// Nearest-rank percentile of an ascending sample vector, in milliseconds.
-double percentile_ms(const std::vector<double>& sorted_seconds, double q) {
-    if (sorted_seconds.empty()) return 0.0;
-    auto rank = static_cast<std::size_t>(q * static_cast<double>(sorted_seconds.size() - 1) + 0.5);
-    rank = std::min(rank, sorted_seconds.size() - 1);
-    return sorted_seconds[rank] * 1e3;
-}
 
 void aggregate(batch_report& rep) {
     rep.count = rep.specs.size();
@@ -60,8 +54,8 @@ void aggregate(batch_report& rep) {
         stage_stats st;
         st.stage = stage_name(stage);
         st.runs = samples.size();
-        st.p50_ms = percentile_ms(samples, 0.5);
-        st.p90_ms = percentile_ms(samples, 0.9);
+        st.p50_ms = nearest_rank(samples, 0.5) * 1e3;
+        st.p90_ms = nearest_rank(samples, 0.9) * 1e3;
         st.max_ms = samples.back() * 1e3;
         for (double v : samples) st.total_ms += v * 1e3;
         rep.stages.push_back(std::move(st));
@@ -69,27 +63,6 @@ void aggregate(batch_report& rep) {
 }
 
 // ---- JSON ------------------------------------------------------------------
-
-void json_escape(std::string& out, const std::string& s) {
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
 
 void json_number(std::string& out, double v) {
     char buf[32];
@@ -136,7 +109,7 @@ struct json_object {
         out += k;
         out += "\": ";
     }
-    void field(const char* k, const std::string& v) { key(k), json_escape(out, v); }
+    void field(const char* k, const std::string& v) { key(k), json_append_escaped(out, v); }
     void field(const char* k, double v) { key(k), json_number(out, v); }
     void field(const char* k, std::size_t v) { key(k), out += std::to_string(v); }
     void field(const char* k, bool v) { key(k), out += v ? "true" : "false"; }
@@ -343,7 +316,7 @@ std::string report_json(const batch_report& r) {
     out += ",\n  \"counters\": {";
     for (std::size_t i = 0; i < r.counters.size(); ++i) {
         out += i ? ",\n    " : "\n    ";
-        json_escape(out, r.counters[i].first);
+        json_append_escaped(out, r.counters[i].first);
         out += ": " + std::to_string(r.counters[i].second);
     }
     out += r.counters.empty() ? "}" : "\n  }";

@@ -4,9 +4,9 @@
 // The paper's experiments (Tables 1 and 2) are statements about a *corpus*,
 // not a single spec; this module makes such sweeps a first-class operation.
 // run_batch() executes every spec independently -- the pipeline layers are
-// pure over their inputs (see the thread-safety notes in core/flow.hpp and
-// sg/state_graph.hpp) -- and the per-spec records land in
-// input order, so the report is byte-for-byte independent of the job count
+// pure over their inputs (see the thread-safety notes in
+// pipeline/pipeline.hpp and sg/state_graph.hpp) -- and the per-spec records
+// land in input order, so the report is byte-for-byte independent of the job count
 // apart from the timing fields.
 //
 // report_json() serialises the report in a schema-stable layout

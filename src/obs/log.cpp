@@ -6,6 +6,8 @@
 #include <cstring>
 #include <mutex>
 
+#include "util/json_escape.hpp"
+
 namespace asynth::obs {
 
 namespace {
@@ -47,24 +49,11 @@ std::string& req_id_slot() {
     return id;
 }
 
-void json_escape(std::string& out, std::string_view s) {
-    for (char ch : s) {
-        switch (ch) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
+/// Appends `,"key":` to a log line.
+void append_key(std::string& out, std::string_view key) {
+    out += ',';
+    json_append_escaped(out, key);
+    out += ':';
 }
 
 void append_number(std::string& out, const char* fmt, double v) {
@@ -163,15 +152,14 @@ log_event::log_event(log_level lvl, std::string_view event) {
     append_number(line_, "%.3f", mono_ms);
     line_ += ",\"level\":\"";
     line_ += level_name(lvl);
-    line_ += "\",\"thread\":\"";
-    json_escape(line_, log_thread_name());
-    line_ += "\",\"event\":\"";
-    json_escape(line_, event);
     line_ += '"';
+    append_key(line_, "thread");
+    json_append_escaped(line_, log_thread_name());
+    append_key(line_, "event");
+    json_append_escaped(line_, event);
     if (const std::string& req = req_id_slot(); !req.empty()) {
-        line_ += ",\"req_id\":\"";
-        json_escape(line_, req);
-        line_ += '"';
+        append_key(line_, "req_id");
+        json_append_escaped(line_, req);
     }
 }
 
@@ -195,46 +183,35 @@ log_event::~log_event() {
 
 log_event& log_event::field(std::string_view key, std::string_view value) {
     if (!emitting_) return *this;
-    line_ += ",\"";
-    json_escape(line_, key);
-    line_ += "\":\"";
-    json_escape(line_, value);
-    line_ += '"';
+    append_key(line_, key);
+    json_append_escaped(line_, value);
     return *this;
 }
 
 log_event& log_event::field(std::string_view key, std::uint64_t v) {
     if (!emitting_) return *this;
-    line_ += ",\"";
-    json_escape(line_, key);
-    line_ += "\":";
+    append_key(line_, key);
     line_ += std::to_string(v);
     return *this;
 }
 
 log_event& log_event::field(std::string_view key, std::int64_t v) {
     if (!emitting_) return *this;
-    line_ += ",\"";
-    json_escape(line_, key);
-    line_ += "\":";
+    append_key(line_, key);
     line_ += std::to_string(v);
     return *this;
 }
 
 log_event& log_event::field(std::string_view key, double v) {
     if (!emitting_) return *this;
-    line_ += ",\"";
-    json_escape(line_, key);
-    line_ += "\":";
+    append_key(line_, key);
     append_number(line_, "%.6g", v);
     return *this;
 }
 
 log_event& log_event::field(std::string_view key, bool v) {
     if (!emitting_) return *this;
-    line_ += ",\"";
-    json_escape(line_, key);
-    line_ += "\":";
+    append_key(line_, key);
     line_ += v ? "true" : "false";
     return *this;
 }

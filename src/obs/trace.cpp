@@ -10,6 +10,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/json_escape.hpp"
 
 namespace asynth::obs {
 
@@ -108,26 +109,6 @@ thread_buffer& local_buffer() {
     return *buf;
 }
 
-void json_escape(std::string& out, std::string_view s) {
-    for (char ch : s) {
-        switch (ch) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
-}
-
 std::string format_number(double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -140,16 +121,12 @@ void append_args_json(std::string& out, const std::vector<trace_arg>& args) {
     for (const auto& a : args) {
         if (!first) out += ',';
         first = false;
-        out += '"';
-        json_escape(out, a.key);
-        out += "\":";
-        if (a.numeric) {
+        json_append_escaped(out, a.key);
+        out += ':';
+        if (a.numeric)
             out += a.value;
-        } else {
-            out += '"';
-            json_escape(out, a.value);
-            out += '"';
-        }
+        else
+            json_append_escaped(out, a.value);
     }
     out += '}';
 }
@@ -246,9 +223,9 @@ std::string trace_session::chrome_json() const {
     };
     for (const auto& [tid, name] : thread_names_) {
         std::string ev = "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-                         std::to_string(tid) + ",\"args\":{\"name\":\"";
-        json_escape(ev, name);
-        ev += "\"}}";
+                         std::to_string(tid) + ",\"args\":{\"name\":";
+        json_append_escaped(ev, name);
+        ev += "}}";
         emit(ev);
     }
     // Per-thread B/E generation: events_ is sorted (tid, start asc, dur desc),
@@ -270,9 +247,9 @@ std::string trace_session::chrome_json() const {
             return ts;
         };
         auto emit_end = [&](const open_span& o) {
-            std::string ev = "{\"name\":\"";
-            json_escape(ev, o.ev->name);
-            ev += "\",\"ph\":\"E\",\"ts\":" + format_us(clamp_ts(rel_us(o.end_ns, start_ns_))) +
+            std::string ev = "{\"name\":";
+            json_append_escaped(ev, o.ev->name);
+            ev += ",\"ph\":\"E\",\"ts\":" + format_us(clamp_ts(rel_us(o.end_ns, start_ns_))) +
                   ",\"pid\":1,\"tid\":" + std::to_string(tid) + "}";
             emit(ev);
         };
@@ -282,11 +259,12 @@ std::string trace_session::chrome_json() const {
                 emit_end(stack.back());
                 stack.pop_back();
             }
-            std::string ev = "{\"name\":\"";
-            json_escape(ev, e.name);
-            ev += "\",\"cat\":\"";
-            json_escape(ev, e.category.empty() ? std::string_view("default") : e.category);
-            ev += "\",\"ph\":\"B\",\"ts\":" + format_us(clamp_ts(rel_us(e.start_ns, start_ns_))) +
+            std::string ev = "{\"name\":";
+            json_append_escaped(ev, e.name);
+            ev += ",\"cat\":";
+            json_append_escaped(ev,
+                                e.category.empty() ? std::string_view("default") : e.category);
+            ev += ",\"ph\":\"B\",\"ts\":" + format_us(clamp_ts(rel_us(e.start_ns, start_ns_))) +
                   ",\"pid\":1,\"tid\":" + std::to_string(tid);
             if (!e.args.empty()) append_args_json(ev, e.args);
             ev += '}';

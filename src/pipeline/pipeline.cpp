@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "explore/analysis_cache.hpp"
+#include "explore/engine.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -68,6 +69,39 @@ bool run_stage(pipeline_result& rep, pipeline_stage stage, Body&& body) {
     return ok;
 }
 
+/// Step-3 engine dispatch.  For `none` the result wraps @p initial unchanged
+/// (explored = 1) with the cost the caller already evaluated.
+search_result run_reduction(const subgraph& initial, reduction_strategy strategy,
+                            const search_options& opt, const cost_breakdown& initial_cost) {
+    switch (strategy) {
+        case reduction_strategy::none: {
+            search_result res;
+            res.best = initial;
+            res.best_cost = initial_cost;
+            res.explored = 1;
+            return res;
+        }
+        case reduction_strategy::beam:
+            // Engine dispatch: both engines walk the same beam and return the
+            // same result; `incremental` (the default) just does less work.
+            return opt.engine == search_engine::reference
+                       ? reduce_concurrency(initial, opt)
+                       : explore::reduce_concurrency_incremental(initial, opt);
+        case reduction_strategy::full:
+            return reduce_fully(initial, opt);
+    }
+    return {};
+}
+
+/// @p delays extended with zero-delay overrides for every wire- or
+/// constant-implemented signal of @p ckt (a wire has no gate).
+delay_model wire_zero_delays(const circuit& ckt, const state_graph& g, delay_model delays) {
+    for (const auto& impl : ckt.impls)
+        if (impl.kind == impl_kind::wire || impl.kind == impl_kind::constant)
+            delays.overrides.emplace_back(g.signals()[impl.signal].name, 0.0);
+    return delays;
+}
+
 /// Process-wide pipeline counters + run-span args, recorded once per run.
 void count_pipeline_run(const pipeline_result& rep, obs::span& sp) {
     auto& reg = obs::registry::global();
@@ -98,8 +132,9 @@ void count_pipeline_run(const pipeline_result& rep, obs::span& sp) {
             .field("failed_stage", stage_name(*rep.failed))
             .field("error", rep.message);
         // The spec hash identifies the failing input even when model names
-        // collide; parse failures have no net worth hashing.
-        if (*rep.failed != pipeline_stage::parse) {
+        // collide; parse failures and state-graph entries have no net worth
+        // hashing.
+        if (!rep.spec.transitions().empty()) {
             try {
                 const std::string canon = write_astg(rep.spec);
                 const hash128 h = hash128_bytes(canon.data(), canon.size());
@@ -115,8 +150,9 @@ void count_pipeline_run(const pipeline_result& rep, obs::span& sp) {
     }
 }
 
-/// Stages after the spec has been provided/parsed.  Fills `rep` in place.
-void continue_pipeline(pipeline_result& rep, const pipeline_options& opt) {
+/// Front half, after the spec has been provided/parsed: canonicalise,
+/// expand and generate the state graph.  False when a stage failed.
+bool build_state_graph(pipeline_result& rep, const pipeline_options& opt) {
     if (!run_stage(rep, pipeline_stage::expand, [&](obs::span& sp) {
             // Canonicalise first: write_astg emits one canonical text (sorted
             // arcs) per net, and parsing it back renumbers transitions and
@@ -134,7 +170,7 @@ void continue_pipeline(pipeline_result& rep, const pipeline_options& opt) {
             sp.arg("spec", rep.spec.model_name);
             sp.arg("transitions", static_cast<std::uint64_t>(rep.expanded.transitions().size()));
         }))
-        return;
+        return false;
 
     if (!run_stage(rep, pipeline_stage::state_graph, [&](obs::span& sp) {
             rep.base_sg = std::make_shared<const state_graph>(
@@ -142,9 +178,15 @@ void continue_pipeline(pipeline_result& rep, const pipeline_options& opt) {
             sp.arg("states", static_cast<std::uint64_t>(rep.base_sg->state_count()));
             sp.arg("arcs", static_cast<std::uint64_t>(rep.base_sg->arc_count()));
         }))
-        return;
+        return false;
+    return true;
+}
 
-    // Keep_Conc pairs recorded in the spec ride along into the search.
+/// Back half, from rep.base_sg: reduce, csc, logic, perf, recover, emit and
+/// verify.  Fills `rep` in place.
+void finish_pipeline(pipeline_result& rep, const pipeline_options& opt) {
+    // Keep_Conc pairs recorded in the spec (none from an SG) ride along into
+    // the search.
     search_options search = opt.search;
     auto kc = keepconc_events(rep.expanded);
     search.keep_concurrent.insert(search.keep_concurrent.end(), kc.begin(), kc.end());
@@ -152,7 +194,7 @@ void continue_pipeline(pipeline_result& rep, const pipeline_options& opt) {
     if (!run_stage(rep, pipeline_stage::reduce, [&](obs::span& sp) {
             auto initial = subgraph::full(*rep.base_sg);
             rep.initial_cost = estimate_cost(initial, search.cost);
-            rep.search = run_reduction(initial, opt.strategy, search, &rep.initial_cost);
+            rep.search = run_reduction(initial, opt.strategy, search, rep.initial_cost);
             rep.reduced = rep.search.best;
             rep.reduced_cost = rep.search.best_cost;
             sp.arg("explored", static_cast<std::uint64_t>(rep.search.explored));
@@ -193,7 +235,7 @@ void continue_pipeline(pipeline_result& rep, const pipeline_options& opt) {
 
     if (opt.run_performance) {
         delay_model delays = opt.delays;
-        if (opt.zero_delay_wires && rep.synth.ok)
+        if (rep.synth.ok)
             delays = wire_zero_delays(rep.synth.ckt, rep.csc.graph, std::move(delays));
         if (!run_stage(rep, pipeline_stage::perf, [&](obs::span& sp) {
                 rep.perf = analyze_performance(encoded, delays);
@@ -238,18 +280,28 @@ pipeline_result run_pipeline(const stg& spec, const pipeline_options& opt) {
     obs::span sp("pipeline", "pipeline");
     pipeline_result rep;
     rep.spec = spec;
-    continue_pipeline(rep, opt);
+    if (build_state_graph(rep, opt)) finish_pipeline(rep, opt);
     count_pipeline_run(rep, sp);
     return rep;
 }
 
 pipeline_result run_pipeline(const stg& spec) { return run_pipeline(spec, pipeline_options{}); }
 
+pipeline_result run_pipeline(state_graph sg, const pipeline_options& opt) {
+    obs::span sp("pipeline", "pipeline");
+    pipeline_result rep;
+    rep.base_sg = std::make_shared<const state_graph>(std::move(sg));
+    finish_pipeline(rep, opt);
+    count_pipeline_run(rep, sp);
+    return rep;
+}
+
 pipeline_result run_pipeline_text(std::string_view astg_text, const pipeline_options& opt) {
     obs::span sp("pipeline", "pipeline");
     pipeline_result rep;
-    if (run_stage(rep, pipeline_stage::parse, [&] { rep.spec = parse_astg(astg_text); }))
-        continue_pipeline(rep, opt);
+    if (run_stage(rep, pipeline_stage::parse, [&] { rep.spec = parse_astg(astg_text); }) &&
+        build_state_graph(rep, opt))
+        finish_pipeline(rep, opt);
     count_pipeline_run(rep, sp);
     return rep;
 }

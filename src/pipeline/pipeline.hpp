@@ -18,11 +18,10 @@
 // divergence is a structured *failure* (failed = verify), not a verdict --
 // the pipeline promised a speed-independent circuit and the gates disagree.
 //
-// Unlike core/flow (which the benches drive and which aborts by exception),
-// the pipeline never throws: every stage runs under a timed trace span
-// and converts asynth::error into a structured (failed stage, diagnostic)
-// pair in the result, so callers -- the asynth CLI, tests, future services --
-// can report failures without a try/catch of their own.
+// The pipeline never throws: every stage runs under a timed trace span and
+// converts asynth::error into a structured (failed stage, diagnostic) pair
+// in the result, so callers -- the asynth CLI, the benches, tests, services
+// -- can report failures without a try/catch of their own.
 //
 // Thread safety: run_pipeline is a pure function of (spec, options) -- in
 // fact of (write_astg(spec), options): the expand stage canonicalises the
@@ -30,10 +29,14 @@
 // different construction orders (and hence with different internal
 // transition/place numbering) yield bit-identical results whenever their
 // canonical texts match.  That equivalence is what makes the result store's
-// content addressing (store/result_store.hpp) sound.  The batch engine
-// (batch/batch.hpp) runs many calls concurrently on a thread pool.  Each result owns its artefacts (the base SG rides behind a
-// shared_ptr so `reduced` stays valid across moves); share a result across
-// threads only for reading.
+// content addressing (store/result_store.hpp) sound.  The state-graph entry
+// is likewise a pure function of (state graph, options).  No stage keeps
+// global or function-local mutable state (the process-wide obs counters are
+// atomic), so concurrent calls on distinct inputs are safe: the batch engine
+// (batch/batch.hpp) runs many calls concurrently on a thread pool.  Each
+// result owns its artefacts (the base SG rides behind a shared_ptr so
+// `reduced` stays valid across moves); share a result across threads only
+// for reading.
 #pragma once
 
 #include <memory>
@@ -44,7 +47,6 @@
 
 #include "core/cost.hpp"
 #include "core/expand.hpp"
-#include "core/flow.hpp"
 #include "core/search.hpp"
 #include "csc/csc.hpp"
 #include "logic/synthesis.hpp"
@@ -83,6 +85,13 @@ struct stage_timing {
     double seconds = 0.0;  ///< wall-clock seconds (the stage's trace span)
 };
 
+/// Step-3 engine of the flow.
+enum class reduction_strategy : uint8_t {
+    none,  ///< keep maximal concurrency
+    beam,  ///< Fig. 9 exploration
+    full,  ///< greedy reduction to minimal concurrency
+};
+
 /// Everything the pipeline can be asked to do.  Defaults reproduce the
 /// paper's Fig. 4 flow with the beam search of Fig. 9.
 struct pipeline_options {
@@ -91,10 +100,10 @@ struct pipeline_options {
     search_options search;                                   ///< Fig. 9 search configuration
     csc_options csc;                                         ///< CSC insertion budget
     synthesis_options synth;                                 ///< gate library + minimiser
-    delay_model delays;                                      ///< timed-simulation delays
-    /// Wire- and constant-implemented outputs get zero delay in the timed
-    /// model (a wire has no gate), matching Table 1's fully reduced rows.
-    bool zero_delay_wires = true;
+    /// Timed-simulation delays.  Wire- and constant-implemented outputs
+    /// always get zero delay on top of these (a wire has no gate), which is
+    /// what makes Table 1's fully reduced LR cycle 4 input events * 2 = 8.
+    delay_model delays;
     bool run_performance = true;  ///< run the perf stage
     bool recover_stg = true;      ///< run the recover stage (STG of the result)
     /// Ignored: the verify stage runs for every synthesised circuit.  Kept
@@ -114,7 +123,7 @@ struct pipeline_result {
     std::optional<pipeline_stage> failed;   ///< first failing stage when !completed
     std::string message;                    ///< diagnostic when !completed
 
-    stg spec;                               ///< input specification
+    stg spec;                               ///< input specification (empty from an SG)
     stg expanded;                           ///< after handshake expansion
     /// Base SG behind a shared_ptr so `reduced` (a view into it) survives
     /// moves/copies of the result struct.
@@ -148,6 +157,11 @@ struct pipeline_result {
 /// Runs the flow from an in-memory specification (no parse stage).
 [[nodiscard]] pipeline_result run_pipeline(const stg& spec, const pipeline_options& opt);
 [[nodiscard]] pipeline_result run_pipeline(const stg& spec);
+
+/// Runs only the stages from reduce on, starting from an already generated
+/// state graph: hand designs such as the Q-module, and graphs reduced
+/// outside the pipeline.  Keep_Conc pairs come from opt.search alone.
+[[nodiscard]] pipeline_result run_pipeline(state_graph sg, const pipeline_options& opt);
 
 /// Runs the flow from astg (.g) text, starting with the parse stage.
 [[nodiscard]] pipeline_result run_pipeline_text(std::string_view astg_text,

@@ -212,28 +212,6 @@ std::optional<json_value> json_parse(std::string_view text) {
     return out;
 }
 
-void json_append_escaped(std::string& out, std::string_view s) {
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
-
 void json_line::field(std::string_view k, double v) {
     key(k);
     char buf[40];

@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/json_escape.hpp"
+
 namespace asynth::service {
 
 /// One parsed JSON value (tagged union kept simple on purpose; protocol
@@ -51,7 +53,7 @@ struct json_value {
 [[nodiscard]] std::optional<json_value> json_parse(std::string_view text);
 
 /// Appends the JSON string literal (quotes + escapes) of @p s to @p out.
-void json_append_escaped(std::string& out, std::string_view s);
+using asynth::json_append_escaped;
 
 /// Incremental writer for one-line JSON objects: fixed field order, no
 /// indentation -- the shape every protocol response uses.

@@ -76,6 +76,9 @@ const pipeline_option option_table[] = {
      [](pipeline_options& o, double v) { o.recover_stg = v != 0; }},
 };
 
+/// The unit type's range; written so NaN fails.
+[[nodiscard]] bool in_unit_range(double x) { return x >= 0.0 && x <= 1.0; }
+
 /// The index of @p v in o.choices.  A number matches its decimal form, so
 /// `"phases": 4` and `--phases 4` both pick "4".
 [[nodiscard]] std::optional<std::size_t> choice_index(const pipeline_option& o,
@@ -112,7 +115,7 @@ std::string option_constraint(const pipeline_option& o) {
         case option_type::count:
             return "an integer in [" + std::to_string(o.min) + ", " + std::to_string(o.max) + "]";
         case option_type::unit:
-            return "a number in [0,1]";
+            return unit_constraint;
         case option_type::choice: {
             std::string out = "one of ";
             for (std::size_t i = 0; i < o.choices.size(); ++i)
@@ -137,7 +140,7 @@ bool apply_option(const pipeline_option& o, const json_value& v, pipeline_option
                 return false;
             break;
         case option_type::unit:
-            if (!number || !(v.num >= 0.0 && v.num <= 1.0)) return false;  // NaN fails too
+            if (!number || !in_unit_range(v.num)) return false;
             break;
         case option_type::choice: {
             const auto i = choice_index(o, v);
@@ -151,6 +154,14 @@ bool apply_option(const pipeline_option& o, const json_value& v, pipeline_option
             break;
     }
     o.set(opt, value);
+    return true;
+}
+
+bool parse_unit(const char* text, double& out) {
+    char* end = nullptr;
+    const double x = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !in_unit_range(x)) return false;
+    out = x;
     return true;
 }
 

@@ -60,6 +60,14 @@ struct pipeline_option {
 /// Legal values in words: "a number in [0,1]", "one of none | beam | full".
 [[nodiscard]] std::string option_constraint(const pipeline_option& o);
 
+/// The unit type's legal values in words, for knobs outside the table.
+inline constexpr const char* unit_constraint = "a number in [0,1]";
+
+/// The unit type's check, for knobs outside the table (the generator knobs
+/// of `asynth batch`): stores @p text into @p out when all of it is a
+/// number in [0,1]; false (NaN included) leaves @p out untouched.
+[[nodiscard]] bool parse_unit(const char* text, double& out);
+
 /// The validator: stores @p v into @p opt when it fits @p o's type and range;
 /// false (NaN included) leaves @p opt untouched.
 [[nodiscard]] bool apply_option(const pipeline_option& o, const json_value& v,

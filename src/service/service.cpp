@@ -8,6 +8,7 @@
 #include "obs/trace.hpp"
 #include "petri/astg_io.hpp"
 #include "service/options.hpp"
+#include "util/percentile.hpp"
 
 namespace asynth::service {
 
@@ -35,13 +36,6 @@ service_metrics& svc_obs() {
                           "execute() wall time per request (ms)"),
     };
     return m;
-}
-
-/// Nearest-rank percentile over an ascending sample vector.
-double percentile(const std::vector<double>& sorted, double q) {
-    if (sorted.empty()) return 0.0;
-    auto rank = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(rank, sorted.size() - 1)];
 }
 
 }  // namespace
@@ -280,8 +274,8 @@ engine_stats engine::stats() const {
         out.queue_wait_max_ms = queue_wait_max_ms_;
     }
     std::sort(sorted.begin(), sorted.end());
-    out.queue_wait_p50_ms = percentile(sorted, 0.5);
-    out.queue_wait_p90_ms = percentile(sorted, 0.9);
+    out.queue_wait_p50_ms = nearest_rank(sorted, 0.5);
+    out.queue_wait_p90_ms = nearest_rank(sorted, 0.9);
     return out;
 }
 

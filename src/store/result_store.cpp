@@ -121,7 +121,8 @@ std::string options_fingerprint(const pipeline_options& opt) {
     // are pipeline_options member paths: the fingerprint speaks the
     // struct's vocabulary, the option table (service/options.hpp) the
     // command line's and the protocol's.
-    std::string fp = "asynth-options v5;";
+    // v6: the zero-delay-wires knob is gone (wires always get zero delay).
+    std::string fp = "asynth-options v6;";
     // expand
     fp_size(fp, "expand.phases", static_cast<std::size_t>(opt.expand.phases));
     fp_bool(fp, "expand.channel_interface", opt.expand.channel_interface);
@@ -155,7 +156,6 @@ std::string options_fingerprint(const pipeline_options& opt) {
     fp_double(fp, "synth.lib.gate2", opt.synth.lib.gate2);
     fp_double(fp, "synth.lib.celement", opt.synth.lib.celement);
     // perf + tail stages
-    fp_bool(fp, "zero_delay_wires", opt.zero_delay_wires);
     fp_bool(fp, "run_performance", opt.run_performance);
     fp_bool(fp, "recover_stg", opt.recover_stg);
     fp_double(fp, "delays.input_delay", opt.delays.input_delay);

@@ -8,7 +8,7 @@
 #include "benchmarks/corpus.hpp"
 #include "benchmarks/fragment_builder.hpp"
 #include "core/expand.hpp"
-#include "core/flow.hpp"
+#include "pipeline/pipeline.hpp"
 #include "sg/analysis.hpp"
 #include "spec/csp.hpp"
 
@@ -117,11 +117,12 @@ TEST(csp, counter_text_matches_hand_built_fragment) {
 
 TEST(csp, parsed_process_runs_through_the_flow) {
     auto spec = parse_csp("lr = l? ; r! ; r? ; l!");
-    flow_options o;
+    pipeline_options o;
     o.strategy = reduction_strategy::beam;
     o.search.cost.w = 0.2;
     o.search.size_frontier = 6;
-    auto rep = run_flow(spec, o);
+    auto rep = run_pipeline(spec, o);
+    ASSERT_TRUE(rep.completed) << rep.message;
     ASSERT_TRUE(rep.synth.ok);
     EXPECT_EQ(rep.area(), 0.0);  // the two-wire LR solution, from CSP text
 }

@@ -23,7 +23,6 @@
 #include "benchmarks/corpus.hpp"
 #include "benchmarks/generate.hpp"
 #include "core/expand.hpp"
-#include "core/flow.hpp"
 #include "core/reduce.hpp"
 #include "core/search.hpp"
 #include "explore/engine.hpp"

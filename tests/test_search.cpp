@@ -5,7 +5,6 @@
 
 #include "benchmarks/corpus.hpp"
 #include "core/expand.hpp"
-#include "core/flow.hpp"
 #include "core/search.hpp"
 #include "sg/analysis.hpp"
 

@@ -1,12 +1,16 @@
 // dyn_bitset and PRNG substrate tests, including brute-force cross-checks
-// against std::vector<bool> reference implementations.
+// against std::vector<bool> reference implementations, plus the JSON string
+// escaper and the nearest-rank percentile.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/dyn_bitset.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
+#include "util/json_escape.hpp"
+#include "util/percentile.hpp"
 
 using namespace asynth;
 
@@ -333,4 +337,35 @@ TEST(hashing, hash_combine_mixes) {
     std::size_t h3 = h1;
     hash_combine(h3, 2);
     EXPECT_NE(h3, h1);
+}
+
+TEST(json_escape, escapes_exactly_what_json_requires) {
+    const struct {
+        std::string in, out;
+    } cases[] = {
+        {"", R"("")"},
+        {"plain text", R"("plain text")"},
+        {"say \"hi\"", R"("say \"hi\"")"},
+        {"a\\b", R"("a\\b")"},
+        {"\n\r\t", R"("\n\r\t")"},
+        {std::string("\0\x01\x08\x0b\x0c\x1f", 6), R"("\u0000\u0001\u0008\u000b\u000c\u001f")"},
+        {"\x20\x7f", "\" \x7f\""},                                 // space, DEL: verbatim
+        {"h\xc3\xa9 \xe2\x82\xac", "\"h\xc3\xa9 \xe2\x82\xac\""},  // UTF-8 passes through
+    };
+    for (const auto& c : cases) {
+        std::string out = "prefix:";
+        json_append_escaped(out, c.in);
+        EXPECT_EQ(out, "prefix:" + c.out) << c.in;
+    }
+}
+
+TEST(percentile, nearest_rank_rounds_to_the_closest_sample) {
+    EXPECT_EQ(nearest_rank({}, 0.5), 0.0);
+    EXPECT_EQ(nearest_rank({7.0}, 0.9), 7.0);
+    const std::vector<double> sorted = {1, 2, 3, 4, 5};
+    EXPECT_EQ(nearest_rank(sorted, 0.0), 1.0);
+    EXPECT_EQ(nearest_rank(sorted, 0.5), 3.0);
+    EXPECT_EQ(nearest_rank(sorted, 0.9), 5.0);  // rank round(3.6) = 4
+    EXPECT_EQ(nearest_rank(sorted, 1.0), 5.0);
+    EXPECT_EQ(nearest_rank({1, 2, 3, 4}, 0.5), 3.0);  // rank round(1.5) = 2
 }

@@ -315,6 +315,16 @@ struct arg_walk {
                      service::option_constraint(o).c_str());
         return std::nullopt;
     }
+
+    /// Reads a [0,1] knob outside the option table at argv[i] (and its
+    /// argument) with the table's unit check; a bad value prints the same
+    /// diagnostic a unit row would.
+    bool unit(double& out) {
+        const char* flag = argv[i];
+        if (service::parse_unit(value(), out)) return true;
+        std::fprintf(stderr, "%s: %s must be %s\n", cmd, flag, service::unit_constraint);
+        return false;
+    }
 };
 
 /// `asynth batch`: embedded corpus + generated workload through run_batch().
@@ -328,15 +338,6 @@ int run_batch_cli(int argc, char** argv) {
     bool use_corpus = true, quiet = false;
     std::string report_file, store_dir, trace_file, log_file;
     obs::log_level log_lvl = obs::log_level::warn;
-
-    auto parse_unit = [&](const char* flag, const char* s, double& out) {
-        // !(0 <= out <= 1) rather than out < 0 || out > 1: NaN must fail too.
-        if (!parse_double(s, out) || !(out >= 0 && out <= 1)) {
-            std::fprintf(stderr, "asynth batch: %s expects a number in [0,1]\n", flag);
-            return false;
-        }
-        return true;
-    };
 
     for (arg_walk a{"asynth batch", argc, argv, 2}; a.i < argc; ++a.i) {
         const std::string arg = argv[a.i];
@@ -361,13 +362,13 @@ int run_batch_cli(int argc, char** argv) {
             if (!parse_size(flag, a.value(), v, 1, 4096)) return 2;
             gen.size = static_cast<int>(v);
         } else if (arg == "--concurrency") {
-            if (!parse_unit(flag, a.value(), gen.concurrency)) return 2;
+            if (!a.unit(gen.concurrency)) return 2;
         } else if (arg == "--choice") {
-            if (!parse_unit(flag, a.value(), gen.choice)) return 2;
+            if (!a.unit(gen.choice)) return 2;
         } else if (arg == "--arbitration") {
-            if (!parse_unit(flag, a.value(), gen.arbitration)) return 2;
+            if (!a.unit(gen.arbitration)) return 2;
         } else if (arg == "--counter") {
-            if (!parse_unit(flag, a.value(), gen.counter)) return 2;
+            if (!a.unit(gen.counter)) return 2;
         } else if (arg == "--choice-ways") {
             std::size_t v = 0;
             if (!parse_size(flag, a.value(), v, 2, 64)) return 2;

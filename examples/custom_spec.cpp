@@ -1,8 +1,10 @@
 // A command-line front end for the whole flow: reads an extended .g
-// specification (from a file argument or stdin), expands it, reshuffles,
-// resolves CSC, synthesises and prints the results.
+// specification (from a file argument, or from stdin when the argument is
+// `-`), expands it, reshuffles, resolves CSC, synthesises and prints the
+// results.  With no argument it runs a built-in demo spec.
 //
-//   ./custom_spec spec.g [W] [frontier]
+//   ./custom_spec spec.g [W] [frontier]     W in [0,1], frontier an integer >= 1
+//   ./custom_spec - [W] [frontier] < spec.g
 //
 // The format accepts .inputs/.outputs/.internal signal declarations plus
 // the extensions .channels, .partial, .initial and .keepconc (see
@@ -31,14 +33,18 @@ using namespace asynth;
 
 int main(int argc, char** argv) {
     std::string text;
-    if (argc > 1 && std::string(argv[1]) != "-") {
-        std::ifstream in(argv[1]);
-        if (!in) {
-            std::fprintf(stderr, "cannot open %s\n", argv[1]);
-            return 1;
-        }
+    if (argc > 1) {
         std::ostringstream ss;
-        ss << in.rdbuf();
+        if (std::string(argv[1]) == "-") {
+            ss << std::cin.rdbuf();
+        } else {
+            std::ifstream in(argv[1]);
+            if (!in) {
+                std::fprintf(stderr, "cannot open %s\n", argv[1]);
+                return 1;
+            }
+            ss << in.rdbuf();
+        }
         text = ss.str();
     } else {
         // Built-in demo spec: a wine-shop style controller.
@@ -63,7 +69,16 @@ shop! shop?
         std::fprintf(stderr, "W must be %s\n", service::unit_constraint);
         return 2;
     }
-    o.search.size_frontier = argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 4;
+    o.search.size_frontier = 4;
+    if (argc > 3) {
+        // The frontier is checked as `asynth --frontier` checks it.
+        const service::pipeline_option& frontier = *service::find_option_flag("--frontier");
+        if (!service::apply_option(frontier, service::option_arg_value(frontier, argv[3]), o)) {
+            std::fprintf(stderr, "frontier must be %s\n",
+                         service::option_constraint(frontier).c_str());
+            return 2;
+        }
+    }
 
     auto rep = run_pipeline_text(text, o);
     if (!rep.completed) {

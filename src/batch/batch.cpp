@@ -118,67 +118,7 @@ struct json_object {
 }  // namespace
 
 spec_record record_of(const std::string& name, const pipeline_result& r) {
-    spec_record out;
-    out.name = name;
-    out.completed = r.completed;
-    out.synthesized = r.synthesized();
-    if (r.failed) out.failed_stage = stage_name(*r.failed);
-    if (!r.completed)
-        out.message = r.message;
-    else if (!r.csc.solved)
-        out.message = r.csc.message;
-    if (r.base_sg) {
-        out.states = r.base_sg->state_count();
-        out.arcs = r.base_sg->arc_count();
-        out.signals = r.base_sg->signals().size();
-    }
-    out.explored = r.search.explored;
-    out.csc_solved = r.csc.solved;
-    out.csc_signals = r.csc.signals_inserted;
-    out.initial_cost = r.initial_cost.value;
-    out.reduced_cost = r.reduced_cost.value;
-    out.literals = r.reduced_cost.literals;
-    out.area = r.area();
-    out.cycle = r.cycle();
-    out.seconds = r.total_seconds;
-    out.timings = r.timings;
-    out.impl_checked = r.impl_check.ok;
-    out.impl_states = r.impl_check.states_visited;
-    out.deadline_hit = r.search.deadline_hit;
-    return out;
-}
-
-spec_record record_of_stored(const std::string& name, const store::stored_record& rec) {
-    spec_record out;
-    out.name = name;
-    out.completed = rec.completed;
-    out.synthesized = rec.synthesized;
-    out.failed_stage = rec.failed_stage;
-    out.message = rec.message;
-    out.states = rec.states;
-    out.arcs = rec.arcs;
-    out.signals = rec.signals;
-    out.explored = rec.explored;
-    out.csc_solved = rec.csc_solved;
-    out.csc_signals = rec.csc_signals;
-    out.initial_cost = rec.initial_cost;
-    out.reduced_cost = rec.reduced_cost;
-    out.literals = rec.literals;
-    out.area = rec.area;
-    out.cycle = rec.cycle;
-    out.seconds = rec.seconds;
-    // Stage names round-trip through the enum; a name this build does not
-    // know (newer producer) is dropped rather than misattributed.
-    for (const auto& [stage, seconds] : rec.timings)
-        for (uint8_t si = 0; si <= static_cast<uint8_t>(pipeline_stage_last); ++si)
-            if (stage == stage_name(static_cast<pipeline_stage>(si))) {
-                out.timings.push_back({static_cast<pipeline_stage>(si), seconds});
-                break;
-            }
-    out.impl_checked = rec.impl_checked;
-    out.impl_states = rec.impl_states;
-    out.store_hit = true;
-    return out;
+    return {store::summarize(r), name, /*store_hit=*/false, r.search.deadline_hit};
 }
 
 batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
@@ -232,7 +172,8 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
                     obs::log_context log_ctx(key.hex().substr(0, 16));
                     if (opt.store.enabled()) {
                         if (auto hit = opt.store.get(key)) {
-                            rep.specs[i] = record_of_stored(specs[i].name, *hit);
+                            rep.specs[i] = {std::move(*hit), specs[i].name,
+                                            /*store_hit=*/true, /*deadline_hit=*/false};
                             return;
                         }
                         auto result = run_pipeline(specs[i].net, opt.pipeline);

@@ -25,8 +25,8 @@
 // With batch_options::store set (CLI: --store DIR), the sweep is *resumable*:
 // each spec is first looked up in the content-addressed result store
 // (store/result_store.hpp) under its canonical-text + options key, hits are
-// reported from the stored record without re-running the pipeline, and
-// misses are synthesised and written back -- so a killed sweep re-run over
+// reported from the stored record's summary without re-running the pipeline,
+// and misses are synthesised and written back -- so a killed sweep re-run over
 // the same corpus skips everything it already finished, and batch and the
 // synthesis service share one corpus of results.
 #pragma once
@@ -61,33 +61,13 @@ struct batch_options {
     std::string checkpoint_file;
 };
 
-/// Serialisation-friendly projection of one pipeline_result.
-struct spec_record {
-    std::string name;           ///< spec name within the sweep
-    bool completed = false;     ///< every requested stage ran
-    bool synthesized = false;   ///< a valid circuit was produced
-    std::string failed_stage;   ///< first failing stage name ("" when completed)
-    std::string message;        ///< failure diagnostic or CSC verdict ("" when clean)
-    std::size_t states = 0;     ///< base SG states explored
-    std::size_t arcs = 0;       ///< base SG arcs
-    std::size_t signals = 0;    ///< SG signal count after expansion
-    std::size_t explored = 0;   ///< distinct SGs evaluated by the Fig. 9 search
-    bool csc_solved = false;    ///< CSC verdict
-    std::size_t csc_signals = 0;  ///< inserted state signals
-    double initial_cost = 0.0;  ///< section-7 cost before reduction
-    double reduced_cost = 0.0;  ///< section-7 cost after reduction
-    std::size_t literals = 0;   ///< estimated SOP literals of the reduced SG
-    double area = -1.0;         ///< circuit area in area units (-1: no circuit)
-    double cycle = 0.0;         ///< critical-cycle length, model time units
-    /// Pipeline wall-clock total.  For a store hit this (and `timings`) is
-    /// the *producing* run's cost -- what the record says synthesis took --
-    /// not this sweep's lookup time; the sweep-level wall_seconds carries
-    /// the actual elapsed time.
-    double seconds = 0.0;
-    std::vector<stage_timing> timings;  ///< per-stage wall-clock seconds
-    bool store_hit = false;     ///< record served from the result store
-    bool impl_checked = false;  ///< verify stage emulated the netlist and agreed
-    std::size_t impl_states = 0;  ///< states the emulation walk visited
+/// One report row: the run's summary (store/record.hpp) plus the row's name
+/// and flags.  For a store hit the summary -- `seconds` and `timings`
+/// included -- is the *producing* run's; the sweep-level wall_seconds
+/// carries the actual elapsed time.
+struct spec_record : store::result_summary {
+    std::string name;        ///< spec name within the sweep
+    bool store_hit = false;  ///< row served from the result store
     /// A search deadline cut the search short (v6); the row then holds the
     /// best-so-far result.  Always false for store hits: cut runs are never
     /// cached.
@@ -139,14 +119,10 @@ struct batch_report {
     std::vector<spec_record> specs;  ///< one record per spec, input order
 };
 
-/// Flattens one pipeline outcome into a record (exposed for tests and for
-/// callers that drive run_pipeline themselves).
+/// The row of one pipeline outcome: store::summarize() plus the name and the
+/// deadline flag (exposed for tests and for callers that drive run_pipeline
+/// themselves).
 [[nodiscard]] spec_record record_of(const std::string& name, const pipeline_result& r);
-
-/// Flattens a stored record (a result-store hit) into the same row shape,
-/// with store_hit set; shared with the service's reporting.
-[[nodiscard]] spec_record record_of_stored(const std::string& name,
-                                           const store::stored_record& rec);
 
 /// Runs the pipeline over every spec on a work-stealing pool and aggregates.
 /// A spec that fails -- structured pipeline error or a stray exception --

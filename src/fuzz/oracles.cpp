@@ -255,21 +255,16 @@ std::string diff_records(const store::stored_record& a, const store::stored_reco
     d.field("reduced_cost", a.reduced_cost, b.reduced_cost);
     d.field("area", a.area, b.area);
     d.field("cycle", a.cycle, b.cycle);
-    if (!ignore_wall_clock) {
-        d.field("seconds", a.seconds, b.seconds);
-        d.field("timings.size", a.timings.size(), b.timings.size());
-        if (d.out.empty())
-            for (std::size_t i = 0; i < a.timings.size(); ++i) {
-                d.field("timings.stage", a.timings[i].first, b.timings[i].first);
-                d.field("timings.seconds", a.timings[i].second, b.timings[i].second);
-            }
-    } else {
-        // Even a warm run must execute the same stages in the same order.
-        d.field("timings.size", a.timings.size(), b.timings.size());
-        if (d.out.empty())
-            for (std::size_t i = 0; i < a.timings.size(); ++i)
-                d.field("timings.stage", a.timings[i].first, b.timings[i].first);
-    }
+    if (!ignore_wall_clock) d.field("seconds", a.seconds, b.seconds);
+    // Even a warm run must execute the same stages in the same order.
+    d.field("timings.size", a.timings.size(), b.timings.size());
+    if (d.out.empty())
+        for (std::size_t i = 0; i < a.timings.size(); ++i) {
+            d.field("timings.stage", std::string(stage_name(a.timings[i].stage)),
+                    std::string(stage_name(b.timings[i].stage)));
+            if (!ignore_wall_clock)
+                d.field("timings.seconds", a.timings[i].seconds, b.timings[i].seconds);
+        }
     d.field("netlist.size", a.netlist.size(), b.netlist.size());
     if (d.out.empty())
         for (std::size_t i = 0; i < a.netlist.size(); ++i) {

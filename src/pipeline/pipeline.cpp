@@ -192,6 +192,14 @@ void finish_pipeline(pipeline_result& rep, const pipeline_options& opt) {
     search.keep_concurrent.insert(search.keep_concurrent.end(), kc.begin(), kc.end());
 
     if (!run_stage(rep, pipeline_stage::reduce, [&](obs::span& sp) {
+            // Written so that NaN fails too: it would otherwise run and
+            // report a cost of nan.
+            if (!(search.cost.w >= 0.0 && search.cost.w <= 1.0)) {
+                char buf[80];
+                std::snprintf(buf, sizeof buf, "cost weight W must be in [0,1], got %g",
+                              search.cost.w);
+                throw error(buf);
+            }
             auto initial = subgraph::full(*rep.base_sg);
             rep.initial_cost = estimate_cost(initial, search.cost);
             rep.search = run_reduction(initial, opt.strategy, search, rep.initial_cost);

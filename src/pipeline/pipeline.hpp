@@ -83,6 +83,8 @@ inline constexpr pipeline_stage pipeline_stage_last = pipeline_stage::verify;
 struct stage_timing {
     pipeline_stage stage = pipeline_stage::parse;
     double seconds = 0.0;  ///< wall-clock seconds (the stage's trace span)
+
+    bool operator==(const stage_timing&) const = default;
 };
 
 /// Step-3 engine of the flow.

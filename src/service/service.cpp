@@ -152,6 +152,10 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
     }
 
     const double service_ms = sp.seconds() * 1e3;
+    const std::string spec_label =
+        spec ? (req.spec_name.empty() ? spec->model_name : req.spec_name) : std::string();
+    const char* store_state =
+        !store_.enabled() || req.store_bypass ? "off" : (hit ? "hit" : "miss");
 
     // ---- response line ----------------------------------------------------
     json_line line;
@@ -176,8 +180,7 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         line.field("literals", rec->literals);
         line.field("area", rec->area);
         line.field("cycle", rec->cycle);
-        line.field("store", !store_.enabled() || req.store_bypass ? "off"
-                                                                  : (hit ? "hit" : "miss"));
+        line.field("store", store_state);
         line.field("synth_seconds", rec->seconds);
         line.field("queue_ms", queue_wait_ms);
         line.field("service_ms", service_ms);
@@ -203,10 +206,6 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
     }
 
     // ---- accounting -------------------------------------------------------
-    const std::string spec_label =
-        spec ? (req.spec_name.empty() ? spec->model_name : req.spec_name) : std::string();
-    const char* store_state =
-        !store_.enabled() || req.store_bypass ? "off" : (hit ? "hit" : "miss");
     if (spec) {
         sp.arg("spec", spec_label);
         sp.arg("store", store_state);
@@ -230,8 +229,8 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         ev.field("service_ms", service_ms);
         ev.field("slow_ms", opt_.slow_ms);
         if (spec && rec)
-            for (const auto& [stage, seconds] : rec->timings)
-                ev.field("stage." + stage + "_ms", seconds * 1e3);
+            for (const auto& t : rec->timings)
+                ev.field(std::string("stage.") + stage_name(t.stage) + "_ms", t.seconds * 1e3);
     }
     service_metrics& sm = svc_obs();
     sm.requests.add();
@@ -250,13 +249,8 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         }
         queue_wait_.offer(queue_wait_ms);
         queue_wait_max_ms_ = std::max(queue_wait_max_ms_, queue_wait_ms);
-        if (rows_.size() < max_retained && spec) {
-            auto row = batch::record_of_stored(
-                req.spec_name.empty() ? spec->model_name : req.spec_name, *rec);
-            row.store_hit = hit;
-            row.deadline_hit = deadline_hit;
-            rows_.push_back(std::move(row));
-        }
+        if (rows_.size() < max_retained && spec)
+            rows_.push_back({*rec, spec_label, hit, deadline_hit});
     }
     return std::move(line).finish();
 }

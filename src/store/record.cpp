@@ -105,6 +105,14 @@ struct reader {
     return end == buf + s.size();
 }
 
+/// The stage named @p name, or nullopt for a name this build does not know.
+[[nodiscard]] std::optional<pipeline_stage> stage_of(std::string_view name) {
+    for (uint8_t si = 0; si <= static_cast<uint8_t>(pipeline_stage_last); ++si)
+        if (name == stage_name(static_cast<pipeline_stage>(si)))
+            return static_cast<pipeline_stage>(si);
+    return std::nullopt;
+}
+
 [[nodiscard]] std::string hex32(const hash128& h) {
     char buf[33];
     std::snprintf(buf, sizeof buf, "%016llx%016llx", static_cast<unsigned long long>(h.hi),
@@ -114,48 +122,46 @@ struct reader {
 
 }  // namespace
 
-stored_record record_of(const pipeline_result& r, std::string fingerprint) {
-    stored_record rec;
-    rec.fingerprint = std::move(fingerprint);
-    rec.completed = r.completed;
-    rec.synthesized = r.synthesized();
-    rec.csc_solved = r.csc.solved;
-    if (r.failed) rec.failed_stage = stage_name(*r.failed);
+result_summary summarize(const pipeline_result& r) {
+    result_summary out;
+    out.completed = r.completed;
+    out.synthesized = r.synthesized();
+    out.csc_solved = r.csc.solved;
+    if (r.failed) out.failed_stage = stage_name(*r.failed);
     if (!r.completed)
-        rec.message = r.message;
+        out.message = r.message;
     else if (!r.csc.solved)
-        rec.message = r.csc.message;
+        out.message = r.csc.message;
     if (r.base_sg) {
-        rec.states = r.base_sg->state_count();
-        rec.arcs = r.base_sg->arc_count();
-        rec.signals = r.base_sg->signals().size();
+        out.states = r.base_sg->state_count();
+        out.arcs = r.base_sg->arc_count();
+        out.signals = r.base_sg->signals().size();
     }
-    rec.explored = r.search.explored;
-    rec.csc_signals = r.csc.signals_inserted;
-    rec.literals = r.reduced_cost.literals;
-    rec.initial_cost = r.initial_cost.value;
-    rec.reduced_cost = r.reduced_cost.value;
-    rec.area = r.area();
-    rec.cycle = r.cycle();
-    rec.seconds = r.total_seconds;
-    for (const auto& t : r.timings) rec.timings.emplace_back(stage_name(t.stage), t.seconds);
+    out.explored = r.search.explored;
+    out.csc_signals = r.csc.signals_inserted;
+    out.literals = r.reduced_cost.literals;
+    out.initial_cost = r.initial_cost.value;
+    out.reduced_cost = r.reduced_cost.value;
+    out.area = r.area();
+    out.cycle = r.cycle();
+    out.seconds = r.total_seconds;
+    out.timings = r.timings;
+    out.impl_checked = r.impl_check.ok;
+    out.impl_states = r.impl_check.states_visited;
+    return out;
+}
+
+stored_record record_of(const pipeline_result& r, std::string fingerprint) {
+    stored_record rec{summarize(r), std::move(fingerprint), /*netlist=*/{},
+                      r.recovered.ok ? write_astg(r.recovered.net) : std::string(), r.verilog,
+                      r.cmodel};
     if (r.synth.ok) {
         const auto& sigs = r.csc.graph.signals();
-        for (const auto& impl : r.synth.ckt.impls) {
-            stored_impl si;
-            si.name = impl.signal < sigs.size() ? sigs[impl.signal].name
-                                                : std::to_string(impl.signal);
-            si.kind = impl_kind_name(impl.kind);
-            si.area = impl.area;
-            si.equation = impl.equation;
-            rec.netlist.push_back(std::move(si));
-        }
+        for (const auto& impl : r.synth.ckt.impls)
+            rec.netlist.push_back({impl.signal < sigs.size() ? sigs[impl.signal].name
+                                                             : std::to_string(impl.signal),
+                                   impl_kind_name(impl.kind), impl.area, impl.equation});
     }
-    if (r.recovered.ok) rec.recovered_astg = write_astg(r.recovered.net);
-    rec.verilog = r.verilog;
-    rec.cmodel = r.cmodel;
-    rec.impl_checked = r.impl_check.ok;
-    rec.impl_states = r.impl_check.states_visited;
     return rec;
 }
 
@@ -178,9 +184,9 @@ std::string serialize_record(const stored_record& rec) {
     emit_double(p, "area", rec.area);
     emit_double(p, "cycle", rec.cycle);
     emit_double(p, "seconds", rec.seconds);
-    for (const auto& [stage, seconds] : rec.timings) {
+    for (const auto& t : rec.timings) {
         char buf[96];
-        std::snprintf(buf, sizeof buf, "timing %s %.17g\n", stage.c_str(), seconds);
+        std::snprintf(buf, sizeof buf, "timing %s %.17g\n", stage_name(t.stage), t.seconds);
         p += buf;
     }
     for (const auto& impl : rec.netlist) {
@@ -275,7 +281,9 @@ parse_status parse_record(std::string_view text, stored_record& out) {
                 rd.failed = true;
                 break;
             }
-            rec.timings.emplace_back(std::string(rest.substr(0, sp3)), d);
+            // A stage name this build does not know (newer producer) is
+            // dropped rather than misattributed.
+            if (auto stage = stage_of(rest.substr(0, sp3))) rec.timings.push_back({*stage, d});
         } else if (key == "impl") {
             const auto sp3 = rest.find(' ');
             if (sp3 == std::string_view::npos || !parse_f64(rest.substr(sp3 + 1), d)) {

@@ -2,12 +2,15 @@
 // the unit the content-addressed result store (store/result_store.hpp) keeps
 // on disk and the service returns on a cache hit.
 //
-// A stored_record is a *projection* of pipeline_result: everything a caller
-// of `asynth batch` or the synthesis service gets to see (verdict, reduced-SG
-// statistics, the synthesised netlist, per-stage timings, the recovered STG
-// text) without the in-memory artefacts (state graphs, covers) that only the
-// producing process can hold.  record_of() projects; the batch and service
-// layers turn records back into their own report rows.
+// The reported outcome of one run -- the row of the paper's Tables 1-2:
+// verdict, reduced-SG statistics, CSC signals, literals, area, cycle,
+// per-stage timings -- is declared once, as result_summary, and derived from
+// a pipeline_result once, by summarize().  A stored_record is that summary
+// plus the payload a store hit replays (the synthesised netlist, the
+// recovered STG text, the emitted netlists), without the in-memory artefacts
+// (state graphs, covers) that only the producing process can hold.  The
+// batch report row (batch::spec_record) is the same summary plus the row's
+// name and flags, so a store hit becomes a report row by copying the base.
 //
 // The wire format is a three-line-header text block:
 //
@@ -50,39 +53,52 @@ struct stored_impl {
     std::string equation;  ///< printable equation of the chosen style
 };
 
-/// The on-disk projection of a pipeline_result (see file comment).
-struct stored_record {
+/// What a run reports, as a batch row, a store record and a service
+/// response all show it (see file comment).
+struct result_summary {
+    bool completed = false;     ///< every requested stage ran
+    bool synthesized = false;   ///< a valid circuit was produced
+    bool csc_solved = false;    ///< CSC verdict
+    std::string failed_stage;   ///< first failing stage name ("" when completed)
+    std::string message;        ///< failure diagnostic or CSC verdict ("" when clean)
+    std::size_t states = 0;     ///< base SG states explored
+    std::size_t arcs = 0;       ///< base SG arcs
+    std::size_t signals = 0;    ///< SG signal count after expansion
+    std::size_t explored = 0;   ///< distinct SGs evaluated by the Fig. 9 search
+    std::size_t csc_signals = 0;  ///< inserted state signals
+    std::size_t literals = 0;   ///< estimated SOP literals of the reduced SG
+    double initial_cost = 0.0;  ///< section-7 cost before reduction
+    double reduced_cost = 0.0;  ///< section-7 cost after reduction
+    double area = -1.0;         ///< circuit area in area units (-1: no circuit)
+    double cycle = 0.0;         ///< critical-cycle length, model time units
+    /// Pipeline wall-clock total.  A record replays it, so a store hit
+    /// reports (here and in `timings`) the *producing* run's cost, not the
+    /// lookup's.
+    double seconds = 0.0;
+    std::vector<stage_timing> timings;  ///< per-stage wall-clock seconds
+    bool impl_checked = false;  ///< verify stage emulated the netlist and agreed
+    std::size_t impl_states = 0;  ///< states the emulation walk visited
+
+    bool operator==(const result_summary&) const = default;
+};
+
+/// The one projection of a pipeline outcome onto its reported summary.
+[[nodiscard]] result_summary summarize(const pipeline_result& r);
+
+/// The on-disk form of one outcome: its summary plus the replayable payload.
+struct stored_record : result_summary {
     /// Fingerprint text of the producing pipeline_options (debugging aid:
     /// `get` trusts the content address, it does not re-derive this).
     std::string fingerprint;
-    bool completed = false;
-    bool synthesized = false;
-    bool csc_solved = false;
-    std::string failed_stage;  ///< first failing stage name ("" when completed)
-    std::string message;       ///< diagnostic or CSC verdict ("" when clean)
-    std::size_t states = 0;
-    std::size_t arcs = 0;
-    std::size_t signals = 0;
-    std::size_t explored = 0;
-    std::size_t csc_signals = 0;
-    std::size_t literals = 0;
-    double initial_cost = 0.0;
-    double reduced_cost = 0.0;
-    double area = -1.0;
-    double cycle = 0.0;
-    double seconds = 0.0;  ///< producing pipeline's wall-clock total
-    /// Per-stage wall-clock of the producing run, (stage name, seconds).
-    std::vector<std::pair<std::string, double>> timings;
     std::vector<stored_impl> netlist;  ///< synthesised circuit ("" when none)
     std::string recovered_astg;        ///< recovered STG text ("" when not run)
     std::string verilog;               ///< emitted Verilog ("" when no circuit)
     std::string cmodel;                ///< emitted C model ("" when no circuit)
-    bool impl_checked = false;         ///< verify stage ran and agreed
-    std::size_t impl_states = 0;       ///< states the emulation walk visited
 };
 
-/// Projects a pipeline outcome into its storable form.  @p fingerprint is
-/// the producing options' fingerprint (store/result_store.hpp).
+/// Projects a pipeline outcome into its storable form: summarize() plus the
+/// payload.  @p fingerprint is the producing options' fingerprint
+/// (store/result_store.hpp).
 [[nodiscard]] stored_record record_of(const pipeline_result& r, std::string fingerprint);
 
 /// True when @p r may be stored under its (spec, options) key: the run

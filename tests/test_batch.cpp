@@ -157,6 +157,10 @@ TEST(batch, record_projection_of_fig1) {
     EXPECT_EQ(rec.area, -1.0);
     EXPECT_EQ(rec.timings.size(), r.timings.size());
     EXPECT_DOUBLE_EQ(rec.seconds, r.total_seconds);
+    // The report row and the store record hold one and the same summary.
+    const store::result_summary& row = rec;
+    const store::stored_record stored = store::record_of(r, "fp");
+    EXPECT_TRUE(row == stored);
 }
 
 TEST(batch, aggregates_and_percentiles) {

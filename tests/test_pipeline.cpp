@@ -4,6 +4,7 @@
 // spans inside the reduce and logic stages, and structured error reporting.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 
@@ -136,6 +137,25 @@ TEST(pipeline, expansion_failure_is_structured) {
     ASSERT_TRUE(r.failed.has_value());
     EXPECT_EQ(*r.failed, pipeline_stage::expand);
     EXPECT_NE(r.message.find("expand"), std::string::npos);
+}
+
+TEST(pipeline, bad_cost_weight_fails_the_reduce_stage) {
+    // A weight outside [0,1] -- NaN included -- is a structured reduce
+    // failure, whether the run starts from an stg or from a state graph.
+    for (double w : {std::numeric_limits<double>::quiet_NaN(), 1.5}) {
+        SCOPED_TRACE(w);
+        pipeline_options opt;
+        opt.search.cost.w = w;
+        const auto from_stg = run_pipeline(benchmarks::lr_process(), opt);
+        const auto from_sg =
+            run_pipeline(state_graph::generate(benchmarks::lr_full_reduction()).graph, opt);
+        for (const pipeline_result* r : {&from_stg, &from_sg}) {
+            EXPECT_FALSE(r->completed);
+            ASSERT_TRUE(r->failed.has_value());
+            EXPECT_EQ(*r->failed, pipeline_stage::reduce);
+            EXPECT_NE(r->message.find("cost weight"), std::string::npos) << r->message;
+        }
+    }
 }
 
 TEST(pipeline, optional_stages_can_be_disabled) {

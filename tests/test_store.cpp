@@ -47,6 +47,9 @@ store::stored_record sample_record(const char* msg = "") {
     return rec;
 }
 
+/// The summary part of a record or report row, for whole-summary compares.
+const store::result_summary& summary(const store::result_summary& s) { return s; }
+
 /// The single record file under dir/objects (fails the test when not unique).
 std::string sole_object_path(const std::string& dir) {
     std::vector<std::string> found;
@@ -80,24 +83,7 @@ TEST(store_record, roundtrips_a_real_pipeline_result) {
     ASSERT_EQ(store::parse_record(store::serialize_record(rec), back), store::parse_status::ok);
 
     EXPECT_EQ(back.fingerprint, "fp");
-    EXPECT_EQ(back.completed, rec.completed);
-    EXPECT_EQ(back.synthesized, rec.synthesized);
-    EXPECT_EQ(back.csc_solved, rec.csc_solved);
-    EXPECT_EQ(back.states, rec.states);
-    EXPECT_EQ(back.arcs, rec.arcs);
-    EXPECT_EQ(back.signals, rec.signals);
-    EXPECT_EQ(back.explored, rec.explored);
-    EXPECT_EQ(back.literals, rec.literals);
-    EXPECT_EQ(back.initial_cost, rec.initial_cost);
-    EXPECT_EQ(back.reduced_cost, rec.reduced_cost);
-    EXPECT_EQ(back.area, rec.area);
-    EXPECT_EQ(back.cycle, rec.cycle);
-    EXPECT_EQ(back.seconds, rec.seconds);
-    ASSERT_EQ(back.timings.size(), rec.timings.size());
-    for (std::size_t i = 0; i < rec.timings.size(); ++i) {
-        EXPECT_EQ(back.timings[i].first, rec.timings[i].first);
-        EXPECT_EQ(back.timings[i].second, rec.timings[i].second);
-    }
+    EXPECT_TRUE(summary(back) == summary(rec));
     ASSERT_EQ(back.netlist.size(), rec.netlist.size());
     for (std::size_t i = 0; i < rec.netlist.size(); ++i) {
         EXPECT_EQ(back.netlist[i].name, rec.netlist[i].name);
@@ -116,8 +102,6 @@ TEST(store_record, roundtrips_a_real_pipeline_result) {
     ASSERT_FALSE(rec.cmodel.empty());
     EXPECT_EQ(back.verilog, rec.verilog);
     EXPECT_EQ(back.cmodel, rec.cmodel);
-    EXPECT_EQ(back.impl_checked, rec.impl_checked);
-    EXPECT_EQ(back.impl_states, rec.impl_states);
 }
 
 TEST(store_record, verification_outcome_roundtrips) {
@@ -423,8 +407,8 @@ TEST_F(store_test, batch_sweep_is_resumable_and_warm_hits_everything) {
     EXPECT_EQ(warm.store_hits, specs.size());
     EXPECT_EQ(warm.store_misses, 0u);
 
-    // The warm rows replay the cold rows byte-for-byte (names, verdicts,
-    // costs, even the producing run's timings) apart from the hit flag.
+    // The warm rows replay the cold rows exactly (names and whole summaries,
+    // even the producing run's timings) apart from the hit flag.
     ASSERT_EQ(warm.specs.size(), cold.specs.size());
     for (std::size_t i = 0; i < cold.specs.size(); ++i) {
         const auto& c = cold.specs[i];
@@ -432,21 +416,7 @@ TEST_F(store_test, batch_sweep_is_resumable_and_warm_hits_everything) {
         EXPECT_TRUE(w.store_hit);
         EXPECT_FALSE(c.store_hit);
         EXPECT_EQ(w.name, c.name);
-        EXPECT_EQ(w.completed, c.completed);
-        EXPECT_EQ(w.synthesized, c.synthesized);
-        EXPECT_EQ(w.message, c.message);
-        EXPECT_EQ(w.states, c.states);
-        EXPECT_EQ(w.explored, c.explored);
-        EXPECT_EQ(w.csc_signals, c.csc_signals);
-        EXPECT_EQ(w.literals, c.literals);
-        EXPECT_EQ(w.area, c.area);
-        EXPECT_EQ(w.cycle, c.cycle);
-        EXPECT_EQ(w.seconds, c.seconds);
-        ASSERT_EQ(w.timings.size(), c.timings.size());
-        for (std::size_t t = 0; t < c.timings.size(); ++t) {
-            EXPECT_EQ(w.timings[t].stage, c.timings[t].stage);
-            EXPECT_EQ(w.timings[t].seconds, c.timings[t].seconds);
-        }
+        EXPECT_TRUE(summary(w) == summary(c)) << c.name;
     }
 
     // A grown sweep only synthesises the new tail: resumability.

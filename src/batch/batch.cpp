@@ -6,7 +6,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "batch/pool.hpp"
@@ -127,9 +126,8 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
     sweep_sp.arg("specs", static_cast<std::uint64_t>(specs.size()));
     batch_report rep;
     rep.specs.resize(specs.size());
-    std::size_t jobs = opt.jobs ? opt.jobs
-                                : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    jobs = std::max<std::size_t>(1, std::min(jobs, std::max<std::size_t>(specs.size(), 1)));
+    const std::size_t jobs =
+        std::min(resolve_jobs(opt.jobs), std::max<std::size_t>(specs.size(), 1));
     rep.jobs = jobs;
     sweep_sp.arg("jobs", static_cast<std::uint64_t>(jobs));
 
@@ -163,41 +161,23 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
             // run_pipeline converts stage failures into structured errors; the
             // belt-and-braces catch keeps one poisoned spec (e.g. resource
             // exhaustion outside a stage) from sinking the whole sweep.
-            [&] {
-                try {
-                    const auto key = store::key_of(write_astg(specs[i].net), fingerprint);
-                    // Stable per-spec req_id derived from the store key: the
-                    // same spec under the same options logs the same id in
-                    // every sweep, so failures can be diffed across runs.
-                    obs::log_context log_ctx(key.hex().substr(0, 16));
-                    if (opt.store.enabled()) {
-                        if (auto hit = opt.store.get(key)) {
-                            rep.specs[i] = {std::move(*hit), specs[i].name,
-                                            /*store_hit=*/true, /*deadline_hit=*/false};
-                            return;
-                        }
-                        auto result = run_pipeline(specs[i].net, opt.pipeline);
-                        // Only *completed*, uncut runs are cached: a
-                        // crash-shaped failure (OOM, budget blowout) or a
-                        // search cut by its deadline should be
-                        // retried next sweep, not replayed from disk forever.
-                        // CSC "no circuit" verdicts complete and are cached
-                        // -- the verdict is the result.
-                        if (store::cacheable(result))
-                            opt.store.put(key, store::record_of(result, fingerprint));
-                        rep.specs[i] = record_of(specs[i].name, result);
-                        return;
-                    }
-                    rep.specs[i] =
-                        record_of(specs[i].name, run_pipeline(specs[i].net, opt.pipeline));
-                } catch (const std::exception& e) {
-                    spec_record bad;
-                    bad.name = specs[i].name;
-                    bad.failed_stage = "batch";
-                    bad.message = e.what();
-                    rep.specs[i] = std::move(bad);
-                }
-            }();
+            try {
+                const auto key = store::key_of(write_astg(specs[i].net), fingerprint);
+                // Stable per-spec req_id derived from the store key: the same
+                // spec under the same options logs the same id in every
+                // sweep, so failures can be diffed across runs.
+                obs::log_context log_ctx(key.hex().substr(0, 16));
+                auto run = store::run_cached(
+                    opt.store, opt.store.enabled() ? std::optional(key) : std::nullopt,
+                    specs[i].net, opt.pipeline, fingerprint);
+                rep.specs[i] = {std::move(run.record), specs[i].name, run.hit, run.deadline_hit};
+            } catch (const std::exception& e) {
+                spec_record bad;
+                bad.name = specs[i].name;
+                bad.failed_stage = "batch";
+                bad.message = e.what();
+                rep.specs[i] = std::move(bad);
+            }
             done[i].store(true, std::memory_order_release);
             // A failure checkpoints everything finished so far: if the sweep
             // later dies outright, the report file still parses.

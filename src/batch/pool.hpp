@@ -23,6 +23,7 @@
 // current users) get jobs-independent output.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -37,6 +38,11 @@
 #include "obs/trace.hpp"
 
 namespace asynth::batch {
+
+/// The worker count a `jobs` setting asks for: 0 = all hardware cores.
+[[nodiscard]] inline std::size_t resolve_jobs(std::size_t jobs) {
+    return jobs != 0 ? jobs : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 class work_stealing_pool {
 public:

@@ -210,7 +210,8 @@ fuzz_report run_fuzz(const fuzz_options& opt) {
     std::vector<std::pair<std::string, uint64_t>> family_counts;
     for (const auto& f : fams) family_counts.emplace_back(f.name, 0);
 
-    batch::work_stealing_pool pool(std::max<std::size_t>(1, opt.jobs));
+    const std::size_t jobs = batch::resolve_jobs(opt.jobs);
+    batch::work_stealing_pool pool(jobs);
     auto t0 = std::chrono::steady_clock::now();
     auto elapsed = [&] {
         return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -220,7 +221,7 @@ fuzz_report run_fuzz(const fuzz_options& opt) {
     while (true) {
         if (iteration_budget != 0 && next >= iteration_budget) break;
         if (second_budget > 0.0 && elapsed() >= second_budget) break;
-        std::size_t chunk = std::max<std::size_t>(1, opt.jobs);
+        std::size_t chunk = jobs;
         if (iteration_budget != 0)
             chunk = std::min<uint64_t>(chunk, iteration_budget - next);
         std::vector<iteration_outcome> outcomes(chunk);

@@ -134,7 +134,7 @@ struct fuzz_options {
     double seconds = 0.0;
     uint64_t iterations = 0;
     uint32_t oracles = all_oracles;  ///< bitmask of oracle_bit()
-    std::size_t jobs = 1;            ///< parallel iterations (work-stealing pool)
+    std::size_t jobs = 1;            ///< parallel iterations; 0 = all hardware cores
     /// Channel-budget cap: families whose minimum size exceeds this are
     /// skipped (6 excludes the size-8 multi-way family whose state graphs
     /// cost ~20 s per run; nightly raises it).

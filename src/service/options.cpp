@@ -1,12 +1,12 @@
 #include "service/options.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
-#include <thread>
+
+#include "batch/pool.hpp"
 
 namespace asynth::service {
 
@@ -43,8 +43,7 @@ const pipeline_option option_table[] = {
      "search scoring threads; 0 = all hardware cores;\nidentical results for every value",
      [](const pipeline_options& o) { return static_cast<double>(o.search.jobs); },
      [](pipeline_options& o, double v) {
-         o.search.jobs = v == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                                : static_cast<std::size_t>(v);
+         o.search.jobs = batch::resolve_jobs(static_cast<std::size_t>(v));
      }},
     {"--w", "w", option_type::unit, "<x>", 0, 0, {}, true,
      "cost weight W in [0,1]; 0 biases CSC resolution,\n1 smaller logic",
@@ -209,17 +208,19 @@ std::string option_help() {
         std::string text = o.help;
         if (o.type != option_type::off_switch)
             text += " (default " + render(o, o.get(defaults)) + ")";
-        const std::string head = *o.metavar ? std::string(o.flag) + " " + o.metavar : o.flag;
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "  %-20s  ", head.c_str());
-        out += buf;
-        for (const char c : text) {
-            out += c;
-            if (c == '\n') out += std::string(24, ' ');
-        }
-        out += '\n';
+        out += help_row(*o.metavar ? std::string(o.flag) + " " + o.metavar : o.flag, text);
     }
     return out;
+}
+
+std::string help_row(std::string_view head, std::string_view text) {
+    std::string out = "  " + std::string(head);
+    out.append(head.size() > 20 ? 3 : 22 - head.size(), ' ');
+    for (const char c : text) {
+        out += c;
+        if (c == '\n') out.append(24, ' ');
+    }
+    return out + '\n';
 }
 
 }  // namespace asynth::service

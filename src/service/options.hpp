@@ -91,4 +91,10 @@ void append_option_field(json_line& line, const pipeline_option& o, const json_v
 /// defaults.
 [[nodiscard]] std::string option_help();
 
+/// One --help row, the layout of every `asynth --help` section: @p head in
+/// a 20-column field, then @p text with its continuation lines ('\n'
+/// between them) indented to column 24.  A head too long for its field
+/// keeps three spaces before the text.
+[[nodiscard]] std::string help_row(std::string_view head, std::string_view text);
+
 }  // namespace asynth::service

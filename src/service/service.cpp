@@ -1,9 +1,8 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <thread>
 
+#include "batch/pool.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "petri/astg_io.hpp"
@@ -96,8 +95,7 @@ std::optional<request> parse_request(std::string_view line, const pipeline_optio
 }
 
 engine::engine(const service_options& opt) : opt_(opt) {
-    if (opt_.jobs == 0)
-        opt_.jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    opt_.jobs = batch::resolve_jobs(opt_.jobs);
     if (!opt_.store_dir.empty()) store_ = store::result_store::open(opt_.store_dir);
     // Touch the service series and the store counters now: `metrics` must
     // expose them (at zero) before the first request arrives.
@@ -126,30 +124,17 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         parse_error = e.what();
     }
 
-    std::optional<store::stored_record> rec;
-    bool hit = false;
-    bool deadline_hit = false;  // only a fresh run can be cut: cut runs are never stored
-    std::optional<store::store_key> key;
-    std::string fingerprint;
+    std::optional<store::cached_run> run;
     if (spec) {
-        fingerprint = store::options_fingerprint(req.options);
-        if (store_.enabled() && !req.store_bypass) {
+        std::string fingerprint = store::options_fingerprint(req.options);
+        std::optional<store::store_key> key;
+        if (store_.enabled() && !req.store_bypass)
             key = store::key_of(write_astg(*spec), fingerprint);
-            if (auto got = store_.get(*key)) {
-                rec = std::move(got);
-                hit = true;
-            }
-        }
-        if (!rec) {
-            auto result = run_pipeline(*spec, req.options);
-            auto fresh = store::record_of(result, fingerprint);
-            deadline_hit = result.search.deadline_hit;
-            // Cache only completed, uncut runs (failures and deadline-cut
-            // searches retry next time).
-            if (key && store::cacheable(result)) store_.put(*key, fresh);
-            rec = std::move(fresh);
-        }
+        run = store::run_cached(store_, key, *spec, req.options, std::move(fingerprint));
     }
+    const store::stored_record* rec = run ? &run->record : nullptr;
+    const bool hit = run && run->hit;
+    const bool deadline_hit = run && run->deadline_hit;  // cut runs are never stored
 
     const double service_ms = sp.seconds() * 1e3;
     const std::string spec_label =
@@ -243,10 +228,6 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         totals_.busy_seconds += sp.seconds();
         if (spec && rec->completed) ++totals_.completed;
         else ++totals_.failed;
-        if (store_.enabled() && spec && !req.store_bypass) {
-            if (hit) ++totals_.store_hits;
-            else ++totals_.store_misses;
-        }
         queue_wait_.offer(queue_wait_ms);
         queue_wait_max_ms_ = std::max(queue_wait_max_ms_, queue_wait_ms);
         if (rows_.size() < max_retained && spec)
@@ -267,6 +248,10 @@ engine_stats engine::stats() const {
         sorted = queue_wait_.samples();
         out.queue_wait_max_ms = queue_wait_max_ms_;
     }
+    // The store counts its own lookups; only the engine looks this handle up.
+    const store::store_stats ss = store_.stats();
+    out.store_hits = ss.hits;
+    out.store_misses = ss.lookups() - ss.hits;
     std::sort(sorted.begin(), sorted.end());
     out.queue_wait_p50_ms = nearest_rank(sorted, 0.5);
     out.queue_wait_p90_ms = nearest_rank(sorted, 0.9);

@@ -329,4 +329,17 @@ store_stats result_store::stats() const {
     return out;
 }
 
+cached_run run_cached(const result_store& st, const std::optional<store_key>& key,
+                      const stg& spec, const pipeline_options& opt, std::string fingerprint) {
+    if (key)
+        if (auto hit = st.get(*key)) return {std::move(*hit), true, false};
+    const auto result = run_pipeline(spec, opt);
+    cached_run out{record_of(result, std::move(fingerprint)), false, result.search.deadline_hit};
+    // A failure or a deadline-cut search is retried next time, not replayed
+    // from disk forever; a CSC "no circuit" verdict is cached -- the verdict
+    // is the result.
+    if (key && cacheable(result)) st.put(*key, out.record);
+    return out;
+}
+
 }  // namespace asynth::store

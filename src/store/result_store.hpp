@@ -131,4 +131,17 @@ private:
     std::shared_ptr<counters> c_;
 };
 
+struct cached_run {
+    stored_record record;
+    bool hit = false;           ///< served from the store
+    bool deadline_hit = false;  ///< a fresh run's search was cut (so it was not stored)
+};
+
+/// The store-backed run step of the batch sweep and the service: the record
+/// under @p key when there is one (a hit), else run_pipeline(), whose result
+/// is stored under @p key when cacheable().  No @p key: no store access.
+[[nodiscard]] cached_run run_cached(const result_store& st, const std::optional<store_key>& key,
+                                    const stg& spec, const pipeline_options& opt,
+                                    std::string fingerprint);
+
 }  // namespace asynth::store

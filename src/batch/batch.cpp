@@ -116,10 +116,6 @@ struct json_object {
 
 }  // namespace
 
-spec_record record_of(const std::string& name, const pipeline_result& r) {
-    return {store::summarize(r), name, /*store_hit=*/false, r.search.deadline_hit};
-}
-
 batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
                        const batch_options& opt) {
     obs::span sweep_sp("batch.sweep", "batch");

@@ -119,11 +119,6 @@ struct batch_report {
     std::vector<spec_record> specs;  ///< one record per spec, input order
 };
 
-/// The row of one pipeline outcome: store::summarize() plus the name and the
-/// deadline flag (exposed for tests and for callers that drive run_pipeline
-/// themselves).
-[[nodiscard]] spec_record record_of(const std::string& name, const pipeline_result& r);
-
 /// Runs the pipeline over every spec on a work-stealing pool and aggregates.
 /// A spec that fails -- structured pipeline error or a stray exception --
 /// yields a failed record without affecting the rest of the sweep.

@@ -60,31 +60,6 @@ bool cube::intersects(const cube& o) const {
     return true;
 }
 
-dyn_bitset cube::blocking_literals(const std::vector<dyn_bitset>& off) const {
-    // diff(o) = the literals o violates: o(v) != pos(v) where v is no
-    // don't-care (padding bits are zero in pos, neg and o alike).
-    const auto& p = pos_.words();
-    const auto& n = neg_.words();
-    dyn_bitset blocked(nvars());
-    for (const auto& o : off) {
-        const auto& x = o.words();
-        std::size_t bit = dyn_bitset::npos;
-        bool several = false;
-        for (std::size_t w = 0; w < p.size() && !several; ++w) {
-            const uint64_t d = (x[w] ^ p[w]) & ~(p[w] & n[w]);
-            if (d == 0) continue;
-            if (bit != dyn_bitset::npos || (d & (d - 1)) != 0)
-                several = true;
-            else
-                bit = w * 64 + static_cast<std::size_t>(std::countr_zero(d));
-        }
-        if (several) continue;
-        if (bit == dyn_bitset::npos) return dyn_bitset(nvars(), true);  // covers o
-        blocked.set(bit);
-    }
-    return blocked;
-}
-
 std::size_t cube::hash() const noexcept {
     std::size_t h = pos_.hash();
     hash_combine(h, neg_.hash());
@@ -304,11 +279,11 @@ cover minimize_heuristic(const sop_spec& spec, unsigned passes) {
                 std::swap(order[i - 1], order[rng.next_below(i)]);
         }
         std::vector<cube> expanded;
-        std::unordered_set<std::size_t> seen;
+        std::unordered_set<cube> seen;
         for (const auto& m : spec.on) {
             cube c = small ? expand_against_off_small(m, spec.nvars, *ix, order)
                            : detail::expand_against_off(cube::minterm(m), spec.off, order);
-            if (seen.insert(c.hash()).second) expanded.push_back(std::move(c));
+            if (seen.insert(c).second) expanded.push_back(std::move(c));
         }
         cover candidate;
         candidate.nvars = spec.nvars;
@@ -324,30 +299,185 @@ cover minimize_heuristic(const sop_spec& spec, unsigned passes) {
 
 namespace {
 
-/// Enumerates all maximal cubes (primes of ON u DC) reachable by expanding
-/// @p work, capped at @p max_primes overall.  @p work is widened in place and
-/// each literal restored after its subtree, so @p work is unchanged on return;
-/// only a pushed prime is copied.
-void enumerate_primes_from(cube& work, const std::vector<dyn_bitset>& off,
-                           std::vector<cube>& primes, std::unordered_set<std::size_t>& seen,
-                           std::size_t max_primes) {
-    if (primes.size() >= max_primes) return;
-    // Dropping literal v alone hits OFF exactly when v is blocking; the set
-    // depends on this node's cube only, which every subtree restores.
-    const dyn_bitset blocked = work.blocking_literals(off);
-    bool maximal = true;
-    for (std::size_t v = 0; v < work.nvars(); ++v) {
-        if (work.is_dc(v) || blocked.test(v)) continue;
-        maximal = false;
-        const bool positive = work.literal(v) > 0;
-        work.set_dc(v);
-        if (seen.insert(work.hash()).second)
-            enumerate_primes_from(work, off, primes, seen, max_primes);
-        work.set_literal(v, positive);
-        if (primes.size() >= max_primes) return;
+/// The minimal transversals of one ON minterm's OFF rows, by the MMCS scheme
+/// (Murakami and Uno): grow the kept-literal set by branching on the unhit
+/// row with the fewest allowed variables, and forbid each branch variable to
+/// its later siblings.  A chosen variable must keep a private row -- one no
+/// other chosen variable hits -- or it is redundant, so a branch that would
+/// take the last one is pruned and every leaf is minimal.  Each minimal
+/// transversal is reached exactly once.  Variable sets are nw words each.
+class transversal_search {
+public:
+    explicit transversal_search(std::size_t nvars) : nvars_(nvars), nw_((nvars + 63) / 64) {}
+
+    /// Loads the distinct inclusion-minimal rows m XOR o over every OFF
+    /// minterm o: a cube keeping literal set L through m avoids o iff L hits
+    /// that row, and a row that contains another is hit whenever it is.
+    /// False when some row is empty, i.e. m is itself an OFF minterm.
+    bool load(const uint64_t* m, const std::vector<dyn_bitset>& off) {
+        raw_.resize(off.size() * nw_);
+        for (std::size_t j = 0; j < off.size(); ++j) {
+            uint64_t any = 0;
+            for (std::size_t w = 0; w < nw_; ++w)
+                any |= raw_[j * nw_ + w] = m[w] ^ off[j].words()[w];
+            if (any == 0) return false;
+        }
+        rows_.clear();
+        hits_.clear();
+        for (std::size_t j = 0; j < off.size(); ++j) {
+            const uint64_t* r = raw_.data() + j * nw_;
+            bool redundant = false;
+            for (std::size_t k = 0; k < off.size() && !redundant; ++k) {
+                const uint64_t* q = raw_.data() + k * nw_;
+                bool subset = k != j, equal = true;
+                for (std::size_t w = 0; w < nw_ && subset; ++w) {
+                    subset = (q[w] & ~r[w]) == 0;
+                    equal = equal && q[w] == r[w];
+                }
+                redundant = subset && (!equal || k < j);  // keep the first of equal rows
+            }
+            if (redundant) continue;
+            rows_.insert(rows_.end(), r, r + nw_);
+            hits_.push_back(0);
+        }
+        return true;
     }
-    if (maximal) primes.push_back(work);
+
+    /// Calls @p leaf(kept) with every minimal transversal of the loaded rows
+    /// until it returns false; false iff it was stopped that way.
+    template <typename Leaf>
+    bool run(Leaf&& leaf) {
+        cand_.assign(nw_, ~uint64_t{0});
+        if (nvars_ % 64 != 0) cand_.back() >>= 64 - nvars_ % 64;
+        kept_.assign(nw_, 0);
+        stack_.clear();
+        stopped_ = false;
+        search(leaf);
+        return !stopped_;
+    }
+
+private:
+    [[nodiscard]] const uint64_t* row(std::size_t k) const { return rows_.data() + k * nw_; }
+    [[nodiscard]] bool has(const uint64_t* set, std::size_t v) const {
+        return (set[v / 64] >> (v % 64)) & 1U;
+    }
+
+    template <typename Leaf>
+    void search(Leaf& leaf) {
+        // The unhit row with the fewest candidate variables.
+        std::size_t pick = hits_.size(), fewest = SIZE_MAX;
+        for (std::size_t k = 0; k < hits_.size() && fewest != 0; ++k) {
+            if (hits_[k] != 0) continue;
+            std::size_t n = 0;
+            for (std::size_t w = 0; w < nw_; ++w)
+                n += static_cast<std::size_t>(std::popcount(row(k)[w] & cand_[w]));
+            if (n < fewest) {
+                fewest = n;
+                pick = k;
+            }
+        }
+        if (pick == hits_.size()) {
+            if (!leaf(kept_.data())) stopped_ = true;
+            return;
+        }
+        if (fewest == 0) return;  // that row can no longer be hit
+
+        const std::size_t frame = stack_.size();
+        for (std::size_t w = 0; w < nw_; ++w) stack_.push_back(row(pick)[w] & cand_[w]);
+        for (std::size_t w = 0; w < nw_ && !stopped_; ++w)
+            for (uint64_t bits = stack_[frame + w]; bits != 0 && !stopped_; bits &= bits - 1) {
+                const std::size_t e = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+                const uint64_t bit = uint64_t{1} << (e % 64);
+                cand_[w] &= ~bit;  // for the later siblings too
+                if (!keeps_private_rows(e)) continue;
+                kept_[w] |= bit;
+                for (std::size_t k = 0; k < hits_.size(); ++k) hits_[k] += has(row(k), e);
+                search(leaf);
+                for (std::size_t k = 0; k < hits_.size(); ++k) hits_[k] -= has(row(k), e);
+                kept_[w] &= ~bit;
+            }
+        for (std::size_t w = 0; w < nw_; ++w) cand_[w] |= stack_[frame + w];
+        stack_.resize(frame);
+    }
+
+    /// Would every chosen variable keep a private row if @p e joined?
+    [[nodiscard]] bool keeps_private_rows(std::size_t e) {
+        private_.assign(nw_, 0);
+        for (std::size_t k = 0; k < hits_.size(); ++k)
+            if (hits_[k] == 1 && !has(row(k), e))
+                for (std::size_t w = 0; w < nw_; ++w) private_[w] |= row(k)[w] & kept_[w];
+        return private_ == kept_;
+    }
+
+    std::size_t nvars_, nw_;
+    std::vector<uint64_t> raw_;   // every OFF minterm's row, nw_ words each
+    std::vector<uint64_t> rows_;  // the minimal rows, nw_ words each
+    std::vector<uint32_t> hits_;  // per minimal row: how many chosen variables it holds
+    std::vector<uint64_t> cand_, kept_, private_;  // variable sets
+    std::vector<uint64_t> stack_;                  // each level's branch set
+    bool stopped_ = false;
+};
+
+}  // namespace
+
+std::optional<std::vector<cube>> prime_implicants(const sop_spec& spec,
+                                                  std::size_t max_primes) {
+    const std::size_t nw = (spec.nvars + 63) / 64;
+    std::vector<cube> primes;
+    transversal_search search(spec.nvars);
+    std::vector<uint64_t> found;  // this minterm's primes as kept-literal masks
+    std::vector<std::size_t> order;
+    const dyn_bitset all(spec.nvars, true);  // every literal: the minterm cube
+    for (std::size_t i = 0; i < spec.on.size(); ++i) {
+        const auto earlier = spec.on.begin() + static_cast<std::ptrdiff_t>(i);
+        if (std::find(spec.on.begin(), earlier, spec.on[i]) != earlier) continue;
+        const uint64_t* m = spec.on[i].words().data();
+
+        // A prime through an earlier ON minterm belongs to that minterm's
+        // group: the cube keeping literals L of m covers on[j] iff m and on[j]
+        // agree on L.
+        found.clear();
+        std::size_t nfound = 0;
+        auto keep = [&](const uint64_t* kept) {
+            for (std::size_t j = 0; j < i; ++j) {
+                const uint64_t* mj = spec.on[j].words().data();
+                bool through = true;
+                for (std::size_t w = 0; w < nw && through; ++w)
+                    through = ((m[w] ^ mj[w]) & kept[w]) == 0;
+                if (through) return true;
+            }
+            found.insert(found.end(), kept, kept + nw);
+            return primes.size() + ++nfound < max_primes;
+        };
+        if (!(search.load(m, spec.off) ? search.run(keep) : keep(all.words().data())))
+            return std::nullopt;
+
+        // Ascending don't-care lists, compared lexicographically: at the
+        // lowest variable where two antichain members differ, the one that
+        // drops it comes first.
+        order.resize(nfound);
+        for (std::size_t k = 0; k < nfound; ++k) order[k] = k;
+        std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+            for (std::size_t w = 0; w < nw; ++w)
+                if (const uint64_t d = found[a * nw + w] ^ found[b * nw + w]; d != 0)
+                    return (found[a * nw + w] & d & (~d + 1)) == 0;
+            return false;
+        });
+        for (std::size_t k : order) {
+            cube c(spec.nvars);
+            for (std::size_t w = 0; w < nw; ++w)
+                for (uint64_t bits = found[k * nw + w]; bits != 0; bits &= bits - 1) {
+                    const std::size_t v = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+                    c.set_literal(v, (m[w] >> (v % 64)) & 1U);
+                }
+            primes.push_back(std::move(c));
+        }
+    }
+    if (primes.size() >= max_primes) return std::nullopt;
+    return primes;
 }
+
+namespace {
 
 struct bnb_state {
     const std::vector<cube>* primes;
@@ -397,13 +527,8 @@ struct bnb_state {
                 }
             }
             search(chosen, covered_count, uncovered - newly);
-            for (std::size_t m = 0; m < on->size(); ++m) {
-                if ((*primes)[p].covers((*on)[m])) {
-                    if (--covered_count[m] == 0) {
-                        // became uncovered again
-                    }
-                }
-            }
+            for (std::size_t m = 0; m < on->size(); ++m)
+                if ((*primes)[p].covers((*on)[m])) --covered_count[m];
             chosen.pop_back();
         }
     }
@@ -411,74 +536,40 @@ struct bnb_state {
 
 }  // namespace
 
-cover minimize_exact(const sop_spec& spec, const exact_limits& lim, bool* was_exact,
-                     const cover* heuristic_seed) {
+cover minimize_exact(const sop_spec& spec, const exact_limits& lim, bool* was_exact) {
     if (was_exact) *was_exact = true;
     cover out;
     out.nvars = spec.nvars;
     if (spec.on.empty()) return out;
 
-    std::vector<cube> primes;
-    std::unordered_set<std::size_t> seen;
-    for (const auto& m : spec.on) {
-        cube c = cube::minterm(m);
-        if (seen.insert(c.hash()).second)
-            enumerate_primes_from(c, spec.off, primes, seen, lim.max_primes);
-        if (primes.size() >= lim.max_primes) break;
-    }
-    if (primes.size() >= lim.max_primes) {
+    const auto primes = prime_implicants(spec, lim.max_primes);
+    if (!primes) {
         if (was_exact) *was_exact = false;
         return minimize_heuristic(spec);
     }
-    // Deduplicate and drop contained primes.
-    std::vector<cube> unique;
-    for (const auto& p : primes) {
-        bool dominated = false;
-        for (const auto& q : primes)
-            if (!(q == p) && q.contains(p)) {
-                dominated = true;
-                break;
-            }
-        if (!dominated && std::find(unique.begin(), unique.end(), p) == unique.end())
-            unique.push_back(p);
-    }
 
     bnb_state bnb;
-    bnb.primes = &unique;
+    bnb.primes = &*primes;
     bnb.on = &spec.on;
     bnb.max_nodes = lim.max_branch_nodes;
     bnb.covers_of.resize(spec.on.size());
     for (std::size_t m = 0; m < spec.on.size(); ++m)
-        for (std::size_t p = 0; p < unique.size(); ++p)
-            if (unique[p].covers(spec.on[m])) bnb.covers_of[m].push_back(p);
+        for (std::size_t p = 0; p < primes->size(); ++p)
+            if ((*primes)[p].covers(spec.on[m])) bnb.covers_of[m].push_back(p);
 
-    // Seed the bound with the heuristic solution -- or with the caller's
-    // warm-start cover, skipping the re-minimisation.  The bound only prunes
-    // partial selections already at least as costly as the incumbent, and the
-    // incumbent update is strict (<), so the first depth-first solution of
-    // minimal cost wins under *any* valid seed: a completed search returns
-    // the identical cover warm or cold.
-    const bool seeded = heuristic_seed && verify_cover(*heuristic_seed, spec);
-    cover heur = seeded ? *heuristic_seed : minimize_heuristic(spec);
+    // Seed the bound with the heuristic solution.  The bound only prunes
+    // partial selections already at least as costly as the incumbent, and
+    // the incumbent update is strict (<), so the first depth-first solution
+    // of minimal cost wins.
+    cover heur = minimize_heuristic(spec);
     bnb.best_cost = heur.cubes.size() * 1000 + heur.literal_count() + 1;
 
     std::vector<std::size_t> chosen;
     std::vector<int> covered(spec.on.size(), 0);
     bnb.search(chosen, covered, spec.on.size());
-    // The bound-independence argument above only holds for a *completed*
-    // search: an aborted one returns whatever the node budget reached, which
-    // the seed's (possibly different) bound can shift, and the abort
-    // fallbacks below would hand back the seed itself instead of the cold
-    // path's own heuristic.  Re-running cold on this rare path keeps
-    // minimize_exact bit-identical with and without a seed on every input.
-    if (seeded && bnb.aborted) return minimize_exact(spec, lim, was_exact, nullptr);
-    if (bnb.aborted && bnb.best.empty()) {
-        if (was_exact) *was_exact = false;
-        return heur;
-    }
-    if (bnb.best.empty()) return heur;  // heuristic was already optimal
     if (was_exact) *was_exact = !bnb.aborted;
-    for (std::size_t p : bnb.best) out.cubes.push_back(unique[p]);
+    if (bnb.best.empty()) return heur;  // heuristic already optimal, or out of nodes
+    for (std::size_t p : bnb.best) out.cubes.push_back((*primes)[p]);
     const std::size_t exact_cost = out.cubes.size() * 1000 + out.literal_count();
     const std::size_t heur_cost = heur.cubes.size() * 1000 + heur.literal_count();
     return exact_cost <= heur_cost ? out : heur;

@@ -9,6 +9,17 @@
 // (expand-against-OFF + irredundant greedy cover, multi-pass) used inside
 // the reshuffling cost function, and an exact prime-enumeration/branch-and-
 // bound minimiser used for final equations and as a test oracle.
+//
+// The exact minimiser's primes come from a minimal-transversal enumerator:
+// a cube through ON minterm m that keeps literal set L avoids OFF minterm o
+// iff L hits the row m XOR o, so the primes through m are the minimal
+// transversals of m's OFF rows.  Its cost follows the number of primes, not
+// the implicant lattice above m, which a large DC-set makes exponential.
+// The primes come out in the order a literal-dropping DFS over that lattice
+// would reach them (prime_implicants()), and the set cover breaks cost ties
+// by that order, so the order is part of every synthesised equation.  The
+// branch and bound takes its first bound from the heuristic's own cover;
+// callers pass no seed.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +67,6 @@ public:
     /// True iff every point of @p o is also covered by this cube.
     [[nodiscard]] bool contains(const cube& o) const;
     [[nodiscard]] bool intersects(const cube& o) const;
-    /// The literals this cube cannot drop on its own: bit v is set iff some
-    /// point of @p off differs from the cube in literal v and nowhere else,
-    /// so that the cube with v dropped covers it.  When the cube already
-    /// covers a point of @p off, every bit is set.  One pass over @p off
-    /// answers the drop test for every literal at once.
-    [[nodiscard]] dyn_bitset blocking_literals(const std::vector<dyn_bitset>& off) const;
-
     [[nodiscard]] bool operator==(const cube&) const = default;
     [[nodiscard]] std::size_t hash() const noexcept;
 
@@ -97,21 +101,22 @@ struct exact_limits {
     std::size_t max_branch_nodes = 200000;
 };
 
+/// Every prime implicant of ON u DC that covers an ON minterm, or nullopt
+/// when there are at least @p max_primes of them.  Order: primes grouped by
+/// the first ON minterm (in `spec.on` order) they cover, each group sorted by
+/// its ascending list of don't-care variables, compared lexicographically --
+/// the order in which a depth-first search that drops literals in ascending
+/// variable order from each ON minterm first reaches them.  An ON minterm
+/// that is also an OFF minterm contributes its own minterm cube.  The result
+/// is an antichain of distinct cubes.
+[[nodiscard]] std::optional<std::vector<cube>> prime_implicants(const sop_spec& spec,
+                                                                std::size_t max_primes);
+
 /// Exact minimiser (all primes + branch-and-bound set cover).  Falls back to
 /// the heuristic result when the limits are exceeded; `*was_exact` reports
 /// which happened.
-///
-/// @p heuristic_seed, when non-null and a valid cover of @p spec, substitutes
-/// for the internal minimize_heuristic() call that seeds the branch-and-bound
-/// incumbent -- the warm-start hook the logic stage feeds from the search's
-/// literal_memo.  The result is identical for every valid seed: a completed
-/// set cover is bound-independent (the incumbent update is strict), and a
-/// search that hits the node budget is re-run cold, so only the saved
-/// heuristic pass -- never the answer -- depends on the seed.  An invalid
-/// seed is ignored.
 [[nodiscard]] cover minimize_exact(const sop_spec& spec, const exact_limits& lim = {},
-                                   bool* was_exact = nullptr,
-                                   const cover* heuristic_seed = nullptr);
+                                   bool* was_exact = nullptr);
 
 /// True iff the cover includes every ON minterm and excludes every OFF one.
 [[nodiscard]] bool verify_cover(const cover& c, const sop_spec& spec);
@@ -137,3 +142,8 @@ namespace detail {
 }  // namespace detail
 
 }  // namespace asynth
+
+template <>
+struct std::hash<asynth::cube> {
+    std::size_t operator()(const asynth::cube& c) const noexcept { return c.hash(); }
+};

@@ -71,8 +71,7 @@ repair_stats incremental_cover::rebase(const sop_spec& spec) {
     // Fresh expansions for ON minterms the surviving cubes no longer cover.
     std::vector<std::size_t> order(spec.nvars);
     std::iota(order.begin(), order.end(), std::size_t{0});
-    std::unordered_set<std::size_t> seen;
-    for (const auto& q : candidates) seen.insert(q.hash());
+    std::unordered_set<cube> seen(candidates.begin(), candidates.end());
     for (const auto& m : spec.on) {
         bool covered = false;
         for (const auto& q : candidates)
@@ -82,7 +81,7 @@ repair_stats incremental_cover::rebase(const sop_spec& spec) {
             }
         if (covered) continue;
         cube c = detail::expand_against_off(cube::minterm(m), spec.off, order);
-        if (seen.insert(c.hash()).second) {
+        if (seen.insert(c).second) {
             ++st.added;
             candidates.push_back(std::move(c));
         }

@@ -10,17 +10,12 @@
 // side effects destroy a kept pair's concurrency are rejected as well.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "core/cost.hpp"
 #include "core/reduce.hpp"
 #include "petri/stg.hpp"
 #include "sg/state_graph.hpp"
-
-namespace asynth::explore {
-class literal_memo;  // explore/analysis_cache.hpp (above this layer)
-}
 
 namespace asynth {
 
@@ -104,12 +99,6 @@ struct search_result {
     /// Did `deadline_ms` cut the search short?  When set, `best` is the
     /// best-so-far configuration of the levels that did run.
     bool deadline_hit = false;
-    /// The incremental engine's search-global spec memo (exact heuristic
-    /// covers per signal spec key), kept alive so downstream stages can
-    /// warm-start: the pipeline's logic stage seeds its exact minimiser from
-    /// the winning candidate's covers when the spec keys still match.  Null
-    /// for the reference engine and the none/full strategies.
-    std::shared_ptr<explore::literal_memo> memo;
 };
 
 /// Runs the Fig. 9 exploration from @p initial.

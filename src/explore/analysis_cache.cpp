@@ -215,17 +215,6 @@ std::size_t minimise_literals(const context& ctx, const sop_spec& spec, const si
 
 }  // namespace detail
 
-sig_key key_of_spec(const sop_spec& spec) {
-    // Must mirror detail::group_walk::key: that chains splitmix64(code.hash())
-    // of each single-sided group's code into the matching lane, in group
-    // order; group_walk::spec emits exactly spec.on / spec.off in that order,
-    // so chaining over the assembled lists reproduces the key.
-    sig_key key;
-    for (const auto& code : spec.on) hash128_combine(key.on, splitmix64(code.hash()));
-    for (const auto& code : spec.off) hash128_combine(key.off, splitmix64(code.hash()));
-    return key;
-}
-
 analysis_cache build_cache(const context& ctx, const subgraph& g, literal_memo* memo) {
     const auto& b = *ctx.base;
     analysis_cache c;

@@ -179,14 +179,6 @@ private:
 [[nodiscard]] analysis_cache build_cache(const context& ctx, const subgraph& g,
                                          literal_memo* memo = nullptr);
 
-/// The spec key of an already-assembled ON/OFF specification: the identical
-/// chained hash that detail::group_walk::key computes from the group records
-/// (pinned in tests/test_logic.cpp).  This is the bridge that lets a
-/// consumer holding only a sop_spec -- the logic stage, whose
-/// derive_nextstate() emits the same minterm lists in the same order -- look
-/// up the search's literal_memo without an analysis_cache.
-[[nodiscard]] sig_key key_of_spec(const sop_spec& spec);
-
 // ---- row helpers (shared with move.cpp) ------------------------------------
 
 inline bool row_bit(const uint64_t* row, std::size_t event) noexcept {

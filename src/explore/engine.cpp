@@ -83,11 +83,7 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
 
     const state_graph& base = initial.base();
     const context ctx = make_context(base, opt.cost);
-    // Heap-allocated so the result can hand the memo (exact covers per spec
-    // key) onward: the pipeline's logic stage warm-starts its exact
-    // minimisation from the winning candidate's covers (see pipeline.cpp).
-    auto memo_ptr = std::make_shared<literal_memo>();
-    literal_memo& memo = *memo_ptr;
+    literal_memo memo;
 
     // One persistent pool per search (ROADMAP item): the per-level phases
     // dispatch several small batches each, and constructing a fresh pool per
@@ -99,7 +95,6 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
     search_result res;
     res.best = initial;
     res.explored = 1;
-    res.memo = memo_ptr;
     const auto search_start = std::chrono::steady_clock::now();
 
     std::vector<node> frontier(1);

@@ -165,6 +165,10 @@ std::string sanitize_filename(std::string s) {
     return s;
 }
 
+/// The counterexample header line that names the option profile; read back by
+/// profile_of_counterexample().
+constexpr std::string_view profile_key = "# profile: ";
+
 /// Writes the minimised counterexample; returns the .g path ("" on failure).
 std::string write_counterexample(const fuzz_options& opt, const finding& f) {
     std::error_code ec;
@@ -175,7 +179,7 @@ std::string write_counterexample(const fuzz_options& opt, const finding& f) {
     std::string header;
     header += "# asynth-fuzz counterexample (minimised)\n";
     header += std::string("# oracle: ") + oracle_name(f.o) + "\n";
-    header += std::string("# profile: ") + profile_name(f.profile) + "\n";
+    header += std::string(profile_key) + profile_name(f.profile) + "\n";
     header += "# family: " + f.family + "\n";
     header += "# diagnosis: " + f.diagnosis + "\n";
     header += "# repro: asynth fuzz --seed " + std::to_string(opt.seed) + " --budget " +
@@ -195,6 +199,19 @@ std::string write_counterexample(const fuzz_options& opt, const finding& f) {
 }
 
 }  // namespace
+
+fuzz_profile profile_of_counterexample(std::string_view text) {
+    // The header is the leading block of '#' lines (and blank lines).
+    while (!text.empty()) {
+        const std::size_t end = text.find('\n');
+        const std::string_view line = text.substr(0, end);
+        if (line.starts_with(profile_key))
+            return profile_from_name(line.substr(profile_key.size())).value_or(fuzz_profile::deep);
+        if (!line.empty() && line[0] != '#') break;
+        text.remove_prefix(end == std::string_view::npos ? text.size() : end + 1);
+    }
+    return fuzz_profile::deep;
+}
 
 fuzz_report run_fuzz(const fuzz_options& opt) {
     fuzz_report report;

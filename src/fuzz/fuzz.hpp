@@ -184,6 +184,11 @@ struct fuzz_report {
 /// never what any iteration does.
 [[nodiscard]] fuzz_report run_fuzz(const fuzz_options& opt);
 
+/// The option profile a counterexample was found under: the one its
+/// '# profile: <name>' header line names, deep when the header has no such
+/// line or names no profile.  Replaying under another would not reproduce.
+[[nodiscard]] fuzz_profile profile_of_counterexample(std::string_view text);
+
 /// Replays one counterexample (or any .g text) through every enabled
 /// pipeline-pair oracle, honouring @p profile; when @p csp_text is nonempty
 /// the CSP oracle runs too.  Returns all diagnoses ("" = everything agrees).

@@ -216,9 +216,6 @@ std::string diff_results(const pipeline_result& a, const pipeline_result& b, boo
             d.field((p + "area").c_str(), x.area, y.area);
             d.field((p + "equation").c_str(), x.equation, y.equation);
         }
-    // synth.warm_lookups / warm_hits deliberately excluded: the reference
-    // engine publishes no literal memo, so warm-start traffic differs while
-    // results must not.
 
     d.field("perf.periodic", a.perf.periodic, b.perf.periodic);
     d.field("perf.cycle_time", a.perf.cycle_time, b.perf.cycle_time);

@@ -58,32 +58,28 @@ nextstate_spec derive_nextstate(const subgraph& g, uint32_t signal) {
     return out;
 }
 
-namespace {
-
-/// ON/OFF spec for the set (dir = plus) or reset (dir = minus) network of a
-/// gC implementation: the network must be 1 exactly in the excitation region
-/// of the transition; states where the signal already holds the target value
-/// are don't-cares.
 sop_spec gc_network_spec(const subgraph& g, uint32_t signal, edge dir) {
     const auto& b = g.base();
     sop_spec spec;
     spec.nvars = b.signals().size();
     const auto ev = b.find_event(static_cast<int32_t>(signal), dir);
-    std::unordered_set<std::size_t> seen_on, seen_off;
+    std::unordered_set<dyn_bitset> seen_on, seen_off;
     for (auto sv : g.live_states().ones()) {
         const auto s = static_cast<uint32_t>(sv);
         const auto& code = b.states()[s].code;
         const bool excited = ev && g.enabled(s, *ev);
         const bool value = code.test(signal);
         if (excited) {
-            if (seen_on.insert(code.hash()).second) spec.on.push_back(code);
+            if (seen_on.insert(code).second) spec.on.push_back(code);
         } else if (value == (dir == edge::minus)) {
             // Quiescent at the source value of the transition: must not fire.
-            if (seen_off.insert(code.hash()).second) spec.off.push_back(code);
+            if (seen_off.insert(code).second) spec.off.push_back(code);
         }
     }
     return spec;
 }
+
+namespace {
 
 cover minimize(const sop_spec& spec, bool exact) {
     return exact ? minimize_exact(spec) : minimize_heuristic(spec);
@@ -131,14 +127,7 @@ synthesis_result synthesize(const subgraph& g, const synthesis_options& opt) {
 
         signal_impl impl;
         impl.signal = sig;
-        if (opt.exact && opt.warm_cover) {
-            ++res.warm_lookups;
-            std::shared_ptr<const cover> warm = opt.warm_cover(ns.spec);
-            if (warm) ++res.warm_hits;
-            impl.function = minimize_exact(ns.spec, {}, nullptr, warm.get());
-        } else {
-            impl.function = minimize(ns.spec, opt.exact);
-        }
+        impl.function = minimize(ns.spec, opt.exact);
         // The dominance bounds of boolfn/incremental_cover floor every valid
         // cover; cross-checking them against each synthesised function keeps
         // the search's pruning argument honest on every circuit the

@@ -17,8 +17,6 @@
 // exactly as in Table 1.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,25 +71,12 @@ struct circuit {
 struct synthesis_options {
     gate_library lib;
     bool exact = true;  ///< use the exact minimiser for final equations
-    /// Optional warm-start source for the exact minimiser: given a signal's
-    /// next-state spec, returns an already-minimised heuristic cover of the
-    /// *same* spec (or null).  The pipeline wires this to the Fig. 9 search's
-    /// literal_memo (keyed by explore::key_of_spec), closing the ROADMAP
-    /// "logic re-enumerates from scratch" item: on a key match the exact
-    /// set cover is seeded with the memoised cover instead of re-running the
-    /// heuristic minimiser.  Results are unchanged -- the seed only prunes
-    /// (see minimize_exact) and an invalid cover is ignored -- pinned by the
-    /// cold-vs-warm equivalence test in tests/test_logic.cpp.  Ignored when
-    /// !exact.
-    std::function<std::shared_ptr<const cover>(const sop_spec&)> warm_cover;
 };
 
 struct synthesis_result {
     bool ok = false;
     std::string message;  ///< failure diagnostic (e.g. CSC conflict)
     circuit ckt;
-    std::size_t warm_lookups = 0;  ///< warm_cover consultations (one per signal)
-    std::size_t warm_hits = 0;     ///< consultations that returned a cover
 };
 
 [[nodiscard]] synthesis_result synthesize(const subgraph& g, const synthesis_options& opt);
@@ -109,5 +94,11 @@ struct nextstate_spec {
 };
 
 [[nodiscard]] nextstate_spec derive_nextstate(const subgraph& g, uint32_t signal);
+
+/// ON/OFF spec for the set (dir = plus) or reset (dir = minus) network of a
+/// gC implementation: the network must be 1 exactly in the excitation region
+/// of the transition; states where the signal already holds the target value
+/// are don't-cares.  Exposed for tests.
+[[nodiscard]] sop_spec gc_network_spec(const subgraph& g, uint32_t signal, edge dir);
 
 }  // namespace asynth

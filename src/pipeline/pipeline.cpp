@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "explore/analysis_cache.hpp"
 #include "explore/engine.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -221,22 +220,8 @@ void finish_pipeline(pipeline_result& rep, const pipeline_options& opt) {
         return;
 
     auto encoded = subgraph::full(rep.csc.graph);
-    // Warm-start the exact minimiser from the search's memoised covers: when
-    // CSC inserted no signal, the logic stage's per-signal specs are the
-    // winning candidate's specs, so the memo has their heuristic covers
-    // ready.  Key misses (inserted signals change every code) just fall back
-    // to the cold path; results are identical either way (test_logic.cpp).
-    synthesis_options synth = opt.synth;
-    if (rep.search.memo && !synth.warm_cover) {
-        auto memo = rep.search.memo;
-        synth.warm_cover = [memo](const sop_spec& spec) -> std::shared_ptr<const cover> {
-            if (auto hit = memo->find(explore::key_of_spec(spec)); hit && hit->cubes)
-                return hit->cubes;
-            return nullptr;
-        };
-    }
     if (!run_stage(rep, pipeline_stage::logic, [&](obs::span& sp) {
-            rep.synth = synthesize(encoded, synth);
+            rep.synth = synthesize(encoded, opt.synth);
             if (rep.synth.ok) sp.arg("area", rep.synth.ckt.total_area);
         }))
         return;

@@ -145,8 +145,7 @@ TEST(batch, poisoned_spec_fails_alone) {
 
 TEST(batch, record_projection_of_fig1) {
     auto r = run_pipeline(benchmarks::fig1_controller());
-    auto rec = batch::record_of("fig1", r);
-    EXPECT_EQ(rec.name, "fig1");
+    const store::result_summary rec = store::summarize(r);
     EXPECT_TRUE(rec.completed);
     EXPECT_FALSE(rec.synthesized);
     EXPECT_TRUE(rec.failed_stage.empty());
@@ -158,9 +157,8 @@ TEST(batch, record_projection_of_fig1) {
     EXPECT_EQ(rec.timings.size(), r.timings.size());
     EXPECT_DOUBLE_EQ(rec.seconds, r.total_seconds);
     // The report row and the store record hold one and the same summary.
-    const store::result_summary& row = rec;
     const store::stored_record stored = store::record_of(r, "fp");
-    EXPECT_TRUE(row == stored);
+    EXPECT_TRUE(rec == stored);
 }
 
 TEST(batch, aggregates_and_percentiles) {

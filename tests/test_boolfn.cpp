@@ -1,15 +1,21 @@
 // Cube/cover algebra and the two minimisers, cross-checked against brute
 // force truth tables on random functions; minimize_exact against a
-// brute-force optimum over all 3^n cubes; plus the incremental cover engine
+// brute-force optimum over all 3^n cubes; prime_implicants against the
+// literal-dropping DFS it replaced; plus the incremental cover engine
 // (restrict-and-repair, literal bounds) against a brute-force
 // literal-optimal cover.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
+#include "benchmarks/corpus.hpp"
+#include "benchmarks/generate.hpp"
 #include "boolfn/cover.hpp"
 #include "boolfn/incremental_cover.hpp"
+#include "logic/synthesis.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/hash.hpp"
 
 using namespace asynth;
@@ -222,11 +228,68 @@ std::size_t optimal_prime_cover_cost(const sop_spec& spec, const std::vector<cub
 
 std::size_t cover_cost(const cover& c) { return c.cubes.size() * 1000 + c.literal_count(); }
 
+/// The literals @p c cannot drop on its own: bit v is set iff some point of
+/// @p off differs from the cube in literal v and nowhere else, so that the
+/// cube with v dropped covers it.  When the cube already covers a point of
+/// @p off, every bit is set.  One pass over @p off answers the drop test for
+/// every literal at once.
+dyn_bitset blocking_literals(const cube& c, const std::vector<dyn_bitset>& off) {
+    dyn_bitset value(c.nvars()), care(c.nvars());
+    for (std::size_t v = 0; v < c.nvars(); ++v)
+        if (!c.is_dc(v)) {
+            care.set(v);
+            if (c.literal(v) > 0) value.set(v);
+        }
+    dyn_bitset blocked(c.nvars());
+    for (const auto& o : off) {
+        const dyn_bitset differing = (o ^ value) & care;
+        const std::size_t n = differing.count();
+        if (n == 0) return dyn_bitset(c.nvars(), true);  // covers o
+        if (n == 1) blocked.set(differing.find_first());
+    }
+    return blocked;
+}
+
+/// The prime enumeration minimize_exact used before prime_implicants, kept as
+/// its oracle: a DFS that widens @p work one literal at a time, in ascending
+/// variable order, and pushes every cube it cannot widen.  @p seen holds every
+/// cube visited so far, across all ON minterms, so each is expanded once.
+void enumerate_primes_from(cube& work, const std::vector<dyn_bitset>& off,
+                           std::vector<cube>& primes, std::unordered_set<cube>& seen,
+                           std::size_t max_primes) {
+    if (primes.size() >= max_primes) return;
+    const dyn_bitset blocked = blocking_literals(work, off);
+    bool maximal = true;
+    for (std::size_t v = 0; v < work.nvars(); ++v) {
+        if (work.is_dc(v) || blocked.test(v)) continue;
+        maximal = false;
+        const bool positive = work.literal(v) > 0;
+        work.set_dc(v);
+        if (seen.insert(work).second) enumerate_primes_from(work, off, primes, seen, max_primes);
+        work.set_literal(v, positive);
+        if (primes.size() >= max_primes) return;
+    }
+    if (maximal) primes.push_back(work);
+}
+
+/// prime_implicants() by the DFS, from every ON minterm in order.
+std::optional<std::vector<cube>> dfs_primes(const sop_spec& spec, std::size_t max_primes) {
+    std::vector<cube> primes;
+    std::unordered_set<cube> seen;
+    for (const auto& m : spec.on) {
+        cube c = cube::minterm(m);
+        if (seen.insert(c).second) enumerate_primes_from(c, spec.off, primes, seen, max_primes);
+        if (primes.size() >= max_primes) break;
+    }
+    if (primes.size() >= max_primes) return std::nullopt;
+    return primes;
+}
+
 }  // namespace
 
 TEST(cube, blocking_literals_match_single_drops) {
-    // The one-pass drop test against dropping each literal and scanning the
-    // OFF-set, on cubes of 7, 64 and 70 variables (one and two words).
+    // The DFS oracle's one-pass drop test against dropping each literal and
+    // scanning the OFF-set, on cubes of 7, 64 and 70 variables.
     for (std::size_t n : {7u, 64u, 70u}) {
         xorshift64 rng(n * 131 + 7);
         for (int trial = 0; trial < 20; ++trial) {
@@ -245,7 +308,7 @@ TEST(cube, blocking_literals_match_single_drops) {
                     if (c.is_dc(v) && rng.next_bool()) o.flip(v);
                 off.push_back(std::move(o));
             }
-            const dyn_bitset blocked = c.blocking_literals(off);
+            const dyn_bitset blocked = blocking_literals(c, off);
             for (std::size_t v = 0; v < n; ++v) {
                 if (c.is_dc(v)) continue;
                 cube wider = c;
@@ -263,7 +326,7 @@ class exact_oracle : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(exact_oracle, exact_cover_is_optimal_over_all_primes) {
     // Whenever minimize_exact claims exactness, no cover by any prime
     // implicant is cheaper than its answer -- so its prime enumeration missed
-    // no prime the optimum needs -- and a warm seed changes nothing.
+    // no prime the optimum needs.
     const uint64_t seed = GetParam();
     const std::size_t n = 3 + seed % 5;  // 3..7 variables
     const auto spec = random_spec(n, seed * 7919 + 101, 0.25, 0.35);
@@ -276,14 +339,158 @@ TEST_P(exact_oracle, exact_cover_is_optimal_over_all_primes) {
         EXPECT_EQ(cover_cost(e), optimal_prime_cover_cost(spec, primes, bound))
             << "seed " << seed << ", " << n << " vars";
     }
-    const auto seed_cover = minimize_heuristic(spec, 1);
-    bool warm_exact = false;
-    const auto warm = minimize_exact(spec, exact_limits{}, &warm_exact, &seed_cover);
-    EXPECT_EQ(warm_exact, exact) << "seed " << seed;
-    EXPECT_EQ(warm.cubes, e.cubes) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, exact_oracle, ::testing::Range<uint64_t>(0, 60));
+
+// ---- prime_implicants against the literal-dropping DFS ---------------------
+
+namespace {
+
+/// Asserts that prime_implicants() returns the DFS's exact vector (or that
+/// both hit @p max_primes), and that the vector is an antichain of distinct
+/// cubes, each a prime implicant through some ON minterm -- or the minterm
+/// cube of an ON minterm that is also an OFF minterm.
+void expect_same_primes(const sop_spec& spec, const std::string& where,
+                        std::size_t max_primes = exact_limits{}.max_primes) {
+    const auto got = prime_implicants(spec, max_primes);
+    const auto want = dfs_primes(spec, max_primes);
+    ASSERT_EQ(got.has_value(), want.has_value()) << where;
+    if (!got) return;
+    ASSERT_EQ(*got, *want) << where;
+    const auto& primes = *got;
+    for (std::size_t p = 0; p < primes.size(); ++p) {
+        for (std::size_t q = 0; q < primes.size(); ++q) {
+            if (q == p) continue;
+            ASSERT_FALSE(primes[p].contains(primes[q])) << where << ' ' << p << ' ' << q;
+        }
+        bool through_on = false;
+        for (const auto& m : spec.on) through_on = through_on || primes[p].covers(m);
+        EXPECT_TRUE(through_on) << where << " prime " << p;
+        const dyn_bitset blocked = blocking_literals(primes[p], spec.off);
+        for (std::size_t v = 0; v < spec.nvars; ++v)
+            EXPECT_TRUE(primes[p].is_dc(v) || blocked.test(v)) << where << " prime " << p;
+    }
+}
+
+/// A spec over @p n variables that looks like a next-state function of the
+/// sweep -- a few ON minterms, OFF minterms around them, most literals forced
+/// -- with its free variables spread over every word boundary.  Every ON
+/// minterm has the OFF neighbour across each non-free variable, so only the
+/// free variables can be dropped and the DFS stays small; OFF minterms two
+/// steps away add superset rows.
+sop_spec forced_spec(std::size_t n, uint64_t seed) {
+    xorshift64 rng(seed);
+    std::vector<std::size_t> free_vars = {0, n / 2, n - 1};
+    for (std::size_t w = 64; w < n; w += 64) {
+        free_vars.push_back(w - 1);
+        free_vars.push_back(w);
+    }
+    while (free_vars.size() < 9) free_vars.push_back(rng.next_below(n));
+    std::sort(free_vars.begin(), free_vars.end());
+    free_vars.erase(std::unique(free_vars.begin(), free_vars.end()), free_vars.end());
+    std::vector<bool> is_free(n, false);
+    for (std::size_t v : free_vars) is_free[v] = true;
+
+    dyn_bitset centre(n);
+    for (std::size_t v = 0; v < n; ++v)
+        if (rng.next_bool()) centre.set(v);
+    auto near = [&](dyn_bitset p) {  // flip a random subset of the free variables
+        for (std::size_t v : free_vars)
+            if (rng.next_bool(0.4)) p.flip(v);
+        return p;
+    };
+    sop_spec s;
+    s.nvars = n;
+    std::unordered_set<dyn_bitset> on, off;
+    for (int k = 0; k < 5; ++k)
+        if (dyn_bitset m = near(centre); on.insert(m).second) s.on.push_back(std::move(m));
+    auto add_off = [&](dyn_bitset o) {
+        if (!on.contains(o) && off.insert(o).second) s.off.push_back(std::move(o));
+    };
+    for (const auto& m : s.on)
+        for (std::size_t v = 0; v < n; ++v)
+            if (!is_free[v]) {
+                dyn_bitset o = m;
+                o.flip(v);
+                add_off(std::move(o));
+            }
+    for (int k = 0; k < 12; ++k) add_off(near(centre));
+    for (int k = 0; k < 6; ++k) {
+        dyn_bitset o = near(centre);
+        o.flip(rng.next_below(n));
+        o.flip(rng.next_below(n));
+        add_off(std::move(o));
+    }
+    return s;
+}
+
+}  // namespace
+
+TEST(prime_implicants, match_the_dfs_on_every_logic_spec_of_the_corpus_and_generated_specs) {
+    // The specs the logic stage minimises: every next-state function and
+    // both gC networks of every implemented signal of each final circuit.
+    auto specs = benchmarks::corpus_specs();
+    for (auto& s : benchmarks::generate_workload(1000, 6, benchmarks::generator_options{}))
+        specs.push_back(std::move(s));
+    std::size_t checked = 0;
+    for (const auto& [name, net] : specs) {
+        const auto res = run_pipeline(net);
+        if (!res.completed || !res.synth.ok) continue;
+        const auto g = subgraph::full(res.csc.graph);
+        for (const auto& impl : res.synth.ckt.impls) {
+            const std::string where = name + " signal " + std::to_string(impl.signal);
+            expect_same_primes(derive_nextstate(g, impl.signal).spec, where);
+            expect_same_primes(gc_network_spec(g, impl.signal, edge::plus), where + " set");
+            expect_same_primes(gc_network_spec(g, impl.signal, edge::minus), where + " reset");
+            checked += 3;
+        }
+    }
+    EXPECT_GT(checked, 100u);
+}
+
+TEST(prime_implicants, match_the_dfs_on_random_specs_across_word_boundaries) {
+    for (std::size_t n : {63u, 64u, 65u, 130u})
+        for (uint64_t seed = 1; seed <= 8; ++seed)
+            expect_same_primes(forced_spec(n, seed * 977 + n),
+                               std::to_string(n) + " vars, seed " + std::to_string(seed));
+    for (uint64_t seed = 0; seed < 40; ++seed)  // dense small specs: many primes each
+        expect_same_primes(random_spec(3 + seed % 6, seed * 31 + 5, 0.3, 0.2),
+                           "small seed " + std::to_string(seed));
+}
+
+TEST(prime_implicants, edge_cases_match_the_dfs) {
+    sop_spec s;
+    s.nvars = 5;
+    s.on = {point(5, 0b00011), point(5, 0b10100), point(5, 0b00011)};  // a repeat
+    expect_same_primes(s, "empty OFF set");
+    ASSERT_EQ(prime_implicants(s, 10)->size(), 1u);
+    EXPECT_EQ((*prime_implicants(s, 10))[0], cube(5));  // the universal cube
+
+    s.off = {point(5, 0b10100), point(5, 0b00111), point(5, 0b11111)};  // on[1] is OFF too
+    expect_same_primes(s, "ON and OFF intersect, repeated ON minterm");
+    const auto primes = *prime_implicants(s, 10);
+    EXPECT_NE(std::find(primes.begin(), primes.end(), cube::minterm(point(5, 0b10100))),
+              primes.end());
+
+    sop_spec zero;  // no variables: the one point is ON, and then OFF too
+    zero.on = {dyn_bitset(0)};
+    expect_same_primes(zero, "0 vars, no OFF");
+    EXPECT_EQ(prime_implicants(zero, 10)->size(), 1u);
+    zero.off = {dyn_bitset(0)};
+    expect_same_primes(zero, "0 vars, ON = OFF");
+    EXPECT_EQ(prime_implicants(zero, 10)->size(), 1u);
+
+    // The cap: at exactly as many primes as the spec has, both give up.
+    const sop_spec dense = random_spec(7, 4242, 0.3, 0.2);
+    const std::size_t count = prime_implicants(dense, SIZE_MAX)->size();
+    ASSERT_GT(count, 10u);
+    expect_same_primes(dense, "cap above the count", count + 1);
+    expect_same_primes(dense, "cap at the count", count);
+    EXPECT_FALSE(prime_implicants(dense, count).has_value());
+    expect_same_primes(dense, "cap below the count", count / 2);
+    EXPECT_FALSE(prime_implicants(dense, 0).has_value());
+}
 
 // ---- incremental covers + literal bounds -----------------------------------
 

@@ -46,6 +46,17 @@ std::vector<benchmarks::named_spec> equivalence_specs() {
     return specs;
 }
 
+/// The spec key of an assembled ON/OFF specification, from its definition:
+/// splitmix64(code.hash()) of each ON (OFF) code chained into the ON (OFF)
+/// lane, in list order.  The group walk must compute the same key from its
+/// group records.
+explore::sig_key key_of_spec(const sop_spec& spec) {
+    explore::sig_key key;
+    for (const auto& code : spec.on) hash128_combine(key.on, splitmix64(code.hash()));
+    for (const auto& code : spec.off) hash128_combine(key.off, splitmix64(code.hash()));
+    return key;
+}
+
 state_graph make_sg(const stg& spec) {
     return state_graph::generate(expand_handshakes(spec)).graph;
 }
@@ -137,6 +148,10 @@ TEST(analysis_cache, full_build_matches_estimate_cost) {
         EXPECT_EQ(cache.cost.csc_pairs, oracle.csc_pairs) << name;
         EXPECT_EQ(cache.cost.literals, oracle.literals) << name;
         EXPECT_EQ(cache.cost.states, oracle.states) << name;
+        for (uint32_t s = 0; s < base.signals().size(); ++s)
+            if (cache.signals[s].estimated)
+                EXPECT_EQ(cache.signals[s].key, key_of_spec(derive_nextstate(g, s).spec))
+                    << name << " signal " << s;
     }
 }
 
@@ -257,13 +272,13 @@ TEST(move, group_walk_matches_derive_nextstate) {
                         EXPECT_EQ(spec_x.nvars, ns.spec.nvars) << where;
                         EXPECT_EQ(spec_x.on, ns.spec.on) << where << " signal " << x;
                         EXPECT_EQ(spec_x.off, ns.spec.off) << where << " signal " << x;
-                        EXPECT_EQ(walk.key(ctx, x), explore::key_of_spec(ns.spec)) << where;
+                        EXPECT_EQ(walk.key(ctx, x), key_of_spec(ns.spec)) << where;
                     }
 
                     auto score = explore::score_move(ctx, g, cache, *am, memo);
                     for (const auto& u : score.updates) {
                         const auto ns = derive_nextstate(am->child, u.signal);
-                        EXPECT_EQ(u.key, explore::key_of_spec(ns.spec))
+                        EXPECT_EQ(u.key, key_of_spec(ns.spec))
                             << where << " signal " << u.signal;
                         EXPECT_EQ(u.literals,
                                   minimize_heuristic(ns.spec, p.minimize_passes).literal_count())
@@ -273,7 +288,7 @@ TEST(move, group_walk_matches_derive_nextstate) {
                     ASSERT_EQ(eval.changed.size(), score.updates.size()) << where;
                     for (const auto& ch : eval.changed)
                         EXPECT_EQ(ch.key,
-                                  explore::key_of_spec(derive_nextstate(am->child, ch.signal).spec))
+                                  key_of_spec(derive_nextstate(am->child, ch.signal).spec))
                             << where << " signal " << ch.signal;
                     if (!first_child) {
                         first_child = std::move(am);

@@ -35,18 +35,6 @@ std::string read_file(const fs::path& p) {
     return text.str();
 }
 
-/// The '# profile:' header of a pinned counterexample (deep when absent).
-fuzz::fuzz_profile profile_of(const std::string& text) {
-    std::istringstream lines(text);
-    for (std::string line; std::getline(lines, line);) {
-        const std::string key = "# profile: ";
-        if (line.rfind(key, 0) == 0)
-            if (auto p = fuzz::profile_from_name(line.substr(key.size()))) return *p;
-        if (!line.empty() && line[0] != '#') break;
-    }
-    return fuzz::fuzz_profile::deep;
-}
-
 std::vector<fs::path> corpus_files() {
     std::vector<fs::path> out;
     for (const auto& e : fs::directory_iterator(corpus_dir()))
@@ -71,7 +59,7 @@ TEST(fuzz_corpus, every_pinned_file_replays_clean_through_all_oracles) {
         csp_path.replace_extension(".csp");
         std::string csp = fs::exists(csp_path) ? read_file(csp_path) : std::string();
         std::string diag =
-            fuzz::replay_text(text, csp, fuzz::all_oracles, profile_of(text));
+            fuzz::replay_text(text, csp, fuzz::all_oracles, fuzz::profile_of_counterexample(text));
         EXPECT_EQ(diag, "") << f.filename();
     }
 }
@@ -83,17 +71,29 @@ TEST(fuzz_corpus, pinned_files_replay_clean_through_impl_vs_sg) {
     // test keeps the guarantee explicit if the mask ever changes).
     for (const auto& f : corpus_files()) {
         std::string text = read_file(f);
-        std::string diag = fuzz::replay_text(
-            text, "", fuzz::oracle_bit(fuzz::oracle::impl_vs_sg), profile_of(text));
+        std::string diag = fuzz::replay_text(text, "", fuzz::oracle_bit(fuzz::oracle::impl_vs_sg),
+                                             fuzz::profile_of_counterexample(text));
         EXPECT_EQ(diag, "") << f.filename();
     }
+}
+
+TEST(fuzz_corpus, profile_header_names_the_replay_profile) {
+    using fuzz::fuzz_profile;
+    using fuzz::profile_of_counterexample;
+    EXPECT_EQ(profile_of_counterexample("# oracle: engines\n# profile: shallow\n.model x\n"),
+              fuzz_profile::shallow);
+    EXPECT_EQ(profile_of_counterexample("# profile: deep"), fuzz_profile::deep);
+    // Only the header counts, an unknown name means deep, and so does no header.
+    EXPECT_EQ(profile_of_counterexample(".model x\n# profile: shallow\n"), fuzz_profile::deep);
+    EXPECT_EQ(profile_of_counterexample("# profile: bogus\n"), fuzz_profile::deep);
+    EXPECT_EQ(profile_of_counterexample(""), fuzz_profile::deep);
 }
 
 TEST(fuzz_corpus, covers_both_profiles_and_a_csp_pair) {
     auto files = corpus_files();
     bool deep = false, shallow = false, csp = false;
     for (const auto& f : files) {
-        auto p = profile_of(read_file(f));
+        auto p = fuzz::profile_of_counterexample(read_file(f));
         deep |= p == fuzz::fuzz_profile::deep;
         shallow |= p == fuzz::fuzz_profile::shallow;
         fs::path c = f;

@@ -5,9 +5,7 @@
 #include "benchmarks/corpus.hpp"
 #include "core/expand.hpp"
 #include "csc/csc.hpp"
-#include "explore/analysis_cache.hpp"
 #include "logic/synthesis.hpp"
-#include "pipeline/pipeline.hpp"
 #include "sg/state_graph.hpp"
 
 using namespace asynth;
@@ -178,119 +176,4 @@ TEST(logic, synthesis_area_is_sum_of_impl_areas) {
     double sum = 0;
     for (const auto& i : res.ckt.impls) sum += i.area;
     EXPECT_DOUBLE_EQ(sum, res.ckt.total_area);
-}
-
-// ---- warm-starting the exact minimiser from the search's literal_memo ------
-
-TEST(logic_warm, key_of_spec_matches_the_cached_signal_keys) {
-    // The bridge the pipeline relies on: hashing an assembled sop_spec must
-    // reproduce the key the analysis cache computed from its group structure,
-    // for every estimated signal.
-    auto sg = sg_of(expand_handshakes(benchmarks::lr_process()));
-    auto g = subgraph::full(sg);
-    const auto ctx = explore::make_context(sg, cost_params{});
-    const auto cache = explore::build_cache(ctx, g);
-    std::size_t checked = 0;
-    for (uint32_t s = 0; s < sg.signals().size(); ++s) {
-        if (!cache.signals[s].estimated) continue;
-        auto ns = derive_nextstate(g, s);
-        EXPECT_EQ(explore::key_of_spec(ns.spec), cache.signals[s].key) << "signal " << s;
-        ++checked;
-    }
-    EXPECT_GT(checked, 0u);
-}
-
-TEST(logic_warm, seeded_minimize_exact_equals_cold) {
-    // Any valid seed -- here deliberately the 1-pass cover the search memo
-    // stores, not the 2-pass default seed -- must leave the exact result
-    // untouched whenever the set cover completes.
-    auto sg = sg_of(expand_handshakes(benchmarks::par_component()));
-    auto csc = resolve_csc(subgraph::full(sg), csc_options{6, 4});
-    ASSERT_TRUE(csc.solved);
-    auto enc = subgraph::full(csc.graph);
-    std::size_t checked = 0;
-    for (uint32_t s = 0; s < csc.graph.signals().size(); ++s) {
-        if (csc.graph.signals()[s].kind == signal_kind::input) continue;
-        if (!csc.graph.find_event(static_cast<int32_t>(s), edge::plus)) continue;
-        auto ns = derive_nextstate(enc, s);
-        const cover seed = minimize_heuristic(ns.spec, 1);
-        bool cold_exact = false, warm_exact = false;
-        const cover cold = minimize_exact(ns.spec, {}, &cold_exact);
-        const cover warm = minimize_exact(ns.spec, {}, &warm_exact, &seed);
-        ASSERT_TRUE(cold_exact);
-        ASSERT_TRUE(warm_exact);
-        ASSERT_EQ(warm.cubes.size(), cold.cubes.size());
-        for (std::size_t c = 0; c < cold.cubes.size(); ++c)
-            EXPECT_EQ(warm.cubes[c], cold.cubes[c]);
-
-        // Equivalence must also survive a branch-and-bound *abort* (node
-        // budget 1): the seeded path re-runs cold there instead of falling
-        // back to the seed itself.
-        const exact_limits tiny{4096, 1};
-        bool cold_abort = true, warm_abort = true;
-        const cover cold_t = minimize_exact(ns.spec, tiny, &cold_abort);
-        const cover warm_t = minimize_exact(ns.spec, tiny, &warm_abort, &seed);
-        EXPECT_EQ(cold_abort, warm_abort);
-        ASSERT_EQ(warm_t.cubes.size(), cold_t.cubes.size());
-        for (std::size_t c = 0; c < cold_t.cubes.size(); ++c)
-            EXPECT_EQ(warm_t.cubes[c], cold_t.cubes[c]);
-        ++checked;
-    }
-    EXPECT_GT(checked, 0u);
-
-    // An *invalid* seed (wrong spec entirely) is ignored, not trusted.
-    auto ns0 = derive_nextstate(enc, [&] {
-        for (uint32_t s = 0; s < csc.graph.signals().size(); ++s)
-            if (csc.graph.signals()[s].kind != signal_kind::input &&
-                csc.graph.find_event(static_cast<int32_t>(s), edge::plus))
-                return s;
-        return 0u;
-    }());
-    cover bogus;
-    bogus.nvars = ns0.spec.nvars;  // empty cover: covers no ON minterm
-    const cover guarded = minimize_exact(ns0.spec, {}, nullptr, &bogus);
-    EXPECT_TRUE(verify_cover(guarded, ns0.spec));
-}
-
-TEST(logic_warm, pipeline_warm_start_hits_and_preserves_output) {
-    // End to end over several corpus entries: the default pipeline (search
-    // memo wired into the logic stage) must synthesise the identical circuit
-    // as a cold logic stage, and on specs where CSC inserted no signal the
-    // memo must actually get hits (the specs are unchanged since the search).
-    std::size_t total_hits = 0;
-    for (const auto& entry : benchmarks::corpus_specs()) {
-        auto warm_run = run_pipeline(entry.net);
-        if (!warm_run.completed || !warm_run.synth.ok) continue;
-
-        // Cold reference: same encoded SG, warm_cover disabled.
-        auto enc = subgraph::full(warm_run.csc.graph);
-        auto cold = synthesize(enc, synthesis_options{});
-        ASSERT_TRUE(cold.ok) << entry.name;
-        ASSERT_EQ(warm_run.synth.ckt.impls.size(), cold.ckt.impls.size()) << entry.name;
-        EXPECT_EQ(warm_run.synth.ckt.total_area, cold.ckt.total_area) << entry.name;
-        for (std::size_t i = 0; i < cold.ckt.impls.size(); ++i) {
-            EXPECT_EQ(warm_run.synth.ckt.impls[i].equation, cold.ckt.impls[i].equation)
-                << entry.name;
-            EXPECT_EQ(warm_run.synth.ckt.impls[i].kind, cold.ckt.impls[i].kind) << entry.name;
-        }
-
-        EXPECT_EQ(cold.warm_lookups, 0u);
-        if (warm_run.csc.signals_inserted == 0) total_hits += warm_run.synth.warm_hits;
-    }
-    EXPECT_GT(total_hits, 0u);
-}
-
-TEST(logic_warm, reference_engine_and_reduced_strategies_have_no_memo) {
-    pipeline_options opt;
-    opt.search.engine = search_engine::reference;
-    auto res = run_pipeline(benchmarks::lr_process(), opt);
-    ASSERT_TRUE(res.completed);
-    EXPECT_EQ(res.search.memo, nullptr);
-    EXPECT_EQ(res.synth.warm_lookups, 0u);
-
-    pipeline_options none;
-    none.strategy = reduction_strategy::none;
-    auto res2 = run_pipeline(benchmarks::lr_process(), none);
-    ASSERT_TRUE(res2.completed);
-    EXPECT_EQ(res2.search.memo, nullptr);
 }

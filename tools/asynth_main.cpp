@@ -646,23 +646,12 @@ struct fuzz_cli {
             std::fprintf(stderr, "asynth fuzz: cannot open '%s'\n", replay_file.c_str());
             return 2;
         }
-        // The counterexample's '# profile:' header names the option profile
-        // it was found under; replaying under another would not reproduce.
-        fuzz::fuzz_profile profile = fuzz::fuzz_profile::deep;
-        std::istringstream lines(*text);
-        for (std::string line; std::getline(lines, line);) {
-            const std::string key = "# profile: ";
-            if (line.rfind(key, 0) == 0) {
-                if (auto p = fuzz::profile_from_name(line.substr(key.size()))) profile = *p;
-                break;
-            }
-            if (!line.empty() && line[0] != '#') break;
-        }
         std::string csp_text;
         if (replay_file.size() > 2 && replay_file.ends_with(".g"))
             csp_text =
                 read_text(replay_file.substr(0, replay_file.size() - 2) + ".csp").value_or("");
-        const std::string diag = fuzz::replay_text(*text, csp_text, opt.oracles, profile);
+        const std::string diag = fuzz::replay_text(*text, csp_text, opt.oracles,
+                                                   fuzz::profile_of_counterexample(*text));
         if (diag.empty()) {
             if (!quiet) std::printf("replay OK: all enabled oracles agree\n");
             return 0;

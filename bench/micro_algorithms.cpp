@@ -1,9 +1,9 @@
 // Raw algorithm throughput over the random handshake corpus: SG generation,
 // excitation regions, FwdRed, CSC checking, region-based STG recovery, timed
 // simulation, and the minimiser tiers (full heuristic minimisation vs the
-// dominance filter's bound_literals).
+// dominance filter's literal_lower_bound).
 #include "bench_util.hpp"
-#include "boolfn/incremental_cover.hpp"
+#include "boolfn/cover.hpp"
 #include "core/reduce.hpp"
 #include "logic/synthesis.hpp"
 #include "perf/timing.hpp"
@@ -105,20 +105,15 @@ void bm_minimize_heuristic_tier(benchmark::State& state) {
 }
 BENCHMARK(bm_minimize_heuristic_tier)->Arg(2)->Arg(4);
 
-void bm_bound_literals_tier(benchmark::State& state) {
+void bm_literal_lower_bound_tier(benchmark::State& state) {
     auto specs = nextstate_specs(corpus_sg(static_cast<int>(state.range(0))));
-    // Warm covers as the search would have them: the parent's minimised SOP.
-    std::vector<cover> warm;
-    warm.reserve(specs.size());
-    for (const auto& s : specs) warm.push_back(minimize_heuristic(s));
     for (auto _ : state) {
         std::size_t lits = 0;
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            lits += bound_literals(specs[i], warm[i]).lower;
+        for (const auto& s : specs) lits += literal_lower_bound(s);
         benchmark::DoNotOptimize(lits);
     }
 }
-BENCHMARK(bm_bound_literals_tier)->Arg(2)->Arg(4);
+BENCHMARK(bm_literal_lower_bound_tier)->Arg(2)->Arg(4);
 
 }  // namespace
 

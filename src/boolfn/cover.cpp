@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <unordered_set>
 
 #include "util/error.hpp"
@@ -100,8 +101,10 @@ std::string cover::to_string(const std::vector<std::string>& names) const {
     return out;
 }
 
-namespace detail {
+namespace {
 
+/// Expands @p c by dropping literals (in @p order) while it stays disjoint
+/// from every OFF minterm.
 cube expand_against_off(cube c, const std::vector<dyn_bitset>& off,
                         const std::vector<std::size_t>& order) {
     for (std::size_t v : order) {
@@ -119,10 +122,6 @@ cube expand_against_off(cube c, const std::vector<dyn_bitset>& off,
     }
     return c;
 }
-
-}  // namespace detail
-
-namespace {
 
 /// Precomputed OFF-set geometry for the <= 64-variable fast path of minterm
 /// expansion.  Shared across every ON minterm of one minimisation.
@@ -197,10 +196,9 @@ cube expand_against_off_small(const dyn_bitset& m, std::size_t nvars, off_index&
     return out;
 }
 
-}  // namespace
-
-namespace detail {
-
+/// Greedy irredundant cover of the ON minterms by the candidate cubes:
+/// essentials first, then maximum uncovered gain (ties towards fewer
+/// literals, then lower index).
 // Coverage is precomputed as one bitset of minterm indices per candidate, so
 // every greedy round is a popcount sweep instead of re-evaluating covers();
 // the selection (gains, literal tie-breaks, index tie-breaks) is unchanged.
@@ -255,7 +253,7 @@ std::vector<cube> greedy_cover(const std::vector<cube>& candidates,
     return out;
 }
 
-}  // namespace detail
+}  // namespace
 
 cover minimize_heuristic(const sop_spec& spec, unsigned passes) {
     cover best;
@@ -282,12 +280,12 @@ cover minimize_heuristic(const sop_spec& spec, unsigned passes) {
         std::unordered_set<cube> seen;
         for (const auto& m : spec.on) {
             cube c = small ? expand_against_off_small(m, spec.nvars, *ix, order)
-                           : detail::expand_against_off(cube::minterm(m), spec.off, order);
+                           : expand_against_off(cube::minterm(m), spec.off, order);
             if (seen.insert(c).second) expanded.push_back(std::move(c));
         }
         cover candidate;
         candidate.nvars = spec.nvars;
-        candidate.cubes = detail::greedy_cover(expanded, spec.on);
+        candidate.cubes = greedy_cover(expanded, spec.on);
         const std::size_t cost = candidate.cubes.size() * 1000 + candidate.literal_count();
         if (cost < best_cost) {
             best_cost = cost;
@@ -573,6 +571,104 @@ cover minimize_exact(const sop_spec& spec, const exact_limits& lim, bool* was_ex
     const std::size_t exact_cost = out.cubes.size() * 1000 + out.literal_count();
     const std::size_t heur_cost = heur.cubes.size() * 1000 + heur.literal_count();
     return exact_cost <= heur_cost ? out : heur;
+}
+
+// The forced-literal clique bound in detail: for an ON minterm m, an OFF
+// minterm o at Hamming distance 1 (differing only in v) forces the literal
+// v = m[v] into every cube covering m: a cube that is don't-care at v and
+// covers m also covers o.  Collecting those
+// variables gives a forced mask F(m), and a per-cube floor of
+// max(1, |F(m)|) literals (1 because a literal-free cube is the universal
+// cube, which hits the non-empty OFF-set).  Two ON minterms whose codes
+// differ inside F(m1) | F(m2) can never share a cube, so a greedy clique of
+// pairwise-incompatible minterms needs one distinct cube each and the sum
+// of their floors is a sound lower bound.
+//
+// Cost: the ON x OFF distance scan dominates.  Codes are copied once into
+// flat word arrays, and "distance exactly 1" is pure word logic -- the first
+// differing word must be a single bit (d & (d - 1) == 0) and a second
+// differing word means "far" -- so the scan needs no popcount (the build has
+// no -mpopcnt) and the bound allocates nothing once the per-thread scratch
+// has grown.
+std::size_t literal_lower_bound(const sop_spec& spec) {
+    // ON empty: constant 0 (empty cover).  OFF empty: the universal cube.
+    // Both cost zero literals exactly.
+    if (spec.on.empty() || spec.off.empty()) return 0;
+    const std::size_t non = spec.on.size();
+    const std::size_t noff = spec.off.size();
+    const std::size_t nw = spec.on[0].words().size();
+
+    struct scratch {
+        std::vector<uint64_t> on, off, forced;  // non x nw, noff x nw, non x nw
+        std::vector<std::size_t> floor_lits, order, clique;
+    };
+    thread_local scratch s;
+    s.on.resize(non * nw);
+    s.off.resize(noff * nw);
+    s.forced.assign(non * nw, 0);
+    for (std::size_t i = 0; i < non; ++i)
+        std::copy_n(spec.on[i].words().data(), nw, s.on.data() + i * nw);
+    for (std::size_t j = 0; j < noff; ++j)
+        std::copy_n(spec.off[j].words().data(), nw, s.off.data() + j * nw);
+
+    s.floor_lits.assign(non, 1);
+    for (std::size_t i = 0; i < non; ++i) {
+        const uint64_t* mw = s.on.data() + i * nw;
+        uint64_t* fw = s.forced.data() + i * nw;
+        for (std::size_t j = 0; j < noff; ++j) {
+            const uint64_t* ow = s.off.data() + j * nw;
+            std::size_t lw = nw;  // the one differing word, if any
+            uint64_t lbits = 0;
+            for (std::size_t w = 0; w < nw; ++w) {
+                const uint64_t d = mw[w] ^ ow[w];
+                if (d == 0) continue;
+                if (lbits != 0 || (d & (d - 1)) != 0) {
+                    lw = nw;  // distance >= 2
+                    break;
+                }
+                lw = w;
+                lbits = d;
+            }
+            if (lw != nw) fw[lw] |= lbits;
+        }
+        std::size_t f = 0;
+        for (std::size_t w = 0; w < nw; ++w) f += static_cast<std::size_t>(std::popcount(fw[w]));
+        s.floor_lits[i] = std::max<std::size_t>(1, f);
+    }
+
+    // Greedy clique, visiting minterms by descending floor (deterministic:
+    // stable sort, index tie-break) so the most constrained cubes count.
+    s.order.resize(non);
+    std::iota(s.order.begin(), s.order.end(), std::size_t{0});
+    std::stable_sort(s.order.begin(), s.order.end(), [&](std::size_t a, std::size_t b) {
+        return s.floor_lits[a] > s.floor_lits[b];
+    });
+    s.clique.clear();
+    std::size_t lower = 0;
+    for (std::size_t i : s.order) {
+        const uint64_t* mi = s.on.data() + i * nw;
+        const uint64_t* fi = s.forced.data() + i * nw;
+        bool incompatible_with_all = true;
+        for (std::size_t j : s.clique) {
+            const uint64_t* mj = s.on.data() + j * nw;
+            const uint64_t* fj = s.forced.data() + j * nw;
+            bool conflict = false;
+            for (std::size_t w = 0; w < nw; ++w)
+                if (((mi[w] ^ mj[w]) & (fi[w] | fj[w])) != 0) {
+                    conflict = true;
+                    break;
+                }
+            if (!conflict) {
+                incompatible_with_all = false;
+                break;
+            }
+        }
+        if (incompatible_with_all) {
+            s.clique.push_back(i);
+            lower += s.floor_lits[i];
+        }
+    }
+    return lower;
 }
 
 bool verify_cover(const cover& c, const sop_spec& spec) {

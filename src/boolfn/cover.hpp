@@ -8,7 +8,9 @@
 // Two minimisers are provided: a fast espresso-flavoured heuristic
 // (expand-against-OFF + irredundant greedy cover, multi-pass) used inside
 // the reshuffling cost function, and an exact prime-enumeration/branch-and-
-// bound minimiser used for final equations and as a test oracle.
+// bound minimiser used for final equations and as a test oracle.  A cheap
+// literal lower bound (literal_lower_bound()) lets the search discard
+// candidates without minimising them at all.
 //
 // The exact minimiser's primes come from a minimal-transversal enumerator:
 // a cube through ON minterm m that keeps literal set L avoids OFF minterm o
@@ -121,25 +123,16 @@ struct exact_limits {
 /// True iff the cover includes every ON minterm and excludes every OFF one.
 [[nodiscard]] bool verify_cover(const cover& c, const sop_spec& spec);
 
-// ---- minimiser building blocks (shared with boolfn/incremental_cover) ------
-// The espresso-flavoured passes are built from two kernels that the
-// incremental cover engine reuses for its targeted repairs; they live here so
-// the repair path cannot drift from the minimiser's semantics.
-
-namespace detail {
-
-/// Expands @p c by dropping literals (in @p order) while it stays disjoint
-/// from every OFF minterm.
-[[nodiscard]] cube expand_against_off(cube c, const std::vector<dyn_bitset>& off,
-                                      const std::vector<std::size_t>& order);
-
-/// Greedy irredundant cover of the ON minterms by the candidate cubes:
-/// essentials first, then maximum uncovered gain (ties towards fewer
-/// literals, then lower index).
-[[nodiscard]] std::vector<cube> greedy_cover(const std::vector<cube>& candidates,
-                                             const std::vector<dyn_bitset>& on);
-
-}  // namespace detail
+/// Sound lower bound on the literal count of ANY valid cover of @p spec
+/// (0 when ON or OFF is empty), by a forced-literal clique argument: an OFF
+/// minterm at Hamming distance 1 from an ON minterm m forces a specific
+/// literal into every cube covering m, and ON minterms whose forced literals
+/// disagree can never share a cube, so a greedy clique of pairwise-
+/// incompatible ON minterms yields a per-cube literal sum no cover can beat.
+/// O(|ON| * |OFF| + |ON|^2) word operations -- no expansion, no covering.
+/// The search's dominance filter prunes on it (src/explore/move.hpp); the
+/// brute-force literal optimum pins its soundness in tests/test_boolfn.cpp.
+[[nodiscard]] std::size_t literal_lower_bound(const sop_spec& spec);
 
 }  // namespace asynth
 

@@ -42,10 +42,11 @@ enum class minimizer_mode : uint8_t {
     /// Every validity-checked candidate is exactly minimised (the oracle the
     /// dominance path is tested against).
     exact,
-    /// Candidates are bounded first (boolfn/incremental_cover): the beam-width
-    /// best upper bounds are exactly scored to establish the admission cost,
-    /// and candidates whose optimistic bound is strictly worse are discarded
-    /// without ever running the minimiser.
+    /// Candidates are bounded first and visited best-first by a cheap floor:
+    /// each is refined to a literal lower bound and exactly scored only while
+    /// its bound can still beat the admission cost (the beam-width-th best
+    /// exact score so far); candidates whose bound is strictly worse are
+    /// discarded without ever running the minimiser.
     incremental,
 };
 
@@ -92,9 +93,8 @@ struct search_result {
     /// Candidates the dominance filter discarded without exact minimisation
     /// (counted inside `explored`; always 0 for minimizer_mode::exact and
     /// for the reference engine).  Purely observability -- two runs differing
-    /// only in `minimizer` return identical results apart from this field,
-    /// and with jobs > 1 this one field may vary run-to-run (benign memo
-    /// races shift how much work the filter skips, never what is selected).
+    /// only in `minimizer` return identical results apart from this field.
+    /// Like every other field it is independent of `jobs`.
     std::size_t pruned = 0;
     /// Did `deadline_ms` cut the search short?  When set, `best` is the
     /// best-so-far configuration of the levels that did run.

@@ -205,11 +205,9 @@ std::size_t minimise_literals(const context& ctx, const sop_spec& spec, const si
     if (memo) {
         if (auto hit = memo->find(key); hit && hit->literals) return *hit->literals;
     }
-    cover c = minimize_heuristic(spec, ctx.params.minimize_passes);
-    const std::size_t literals = c.literal_count();
-    // The cover is stored too: it seeds the restrict-and-repair upper bounds
-    // of the dominance filter (move.cpp) for child specs of this key.
-    if (memo) memo->insert_exact(key, literals, std::make_shared<const cover>(std::move(c)));
+    const std::size_t literals =
+        minimize_heuristic(spec, ctx.params.minimize_passes).literal_count();
+    if (memo) memo->insert_exact(key, literals);
     return literals;
 }
 

@@ -36,14 +36,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "boolfn/cover.hpp"
-#include "boolfn/incremental_cover.hpp"
 #include "core/cost.hpp"
 #include "sg/analysis.hpp"
 #include "sg/state_graph.hpp"
@@ -124,24 +122,20 @@ struct analysis_cache {
 [[nodiscard]] context make_context(const state_graph& base, const cost_params& params);
 
 /// One memoised fact about a spec key.  Entries are monotone: a key starts
-/// empty, may gain cheap `bounds` from a dominance pass, and is upgraded to
-/// `literals` + `cubes` the first time the exact path minimises it.  Every
-/// stored value is a pure function of the key, so lookup/upgrade order cannot
-/// affect search results.
+/// empty, may gain a cheap `lower` bound from a dominance pass, and gains
+/// `literals` the first time the exact path minimises it.  Every stored value
+/// is a pure function of the key, so lookup/upgrade order cannot affect
+/// search results.
 struct memo_entry {
     /// Exact heuristic literal count, once the key has been minimised.
     std::optional<std::size_t> literals;
-    /// The minimised cover itself -- the warm-start parent for future
-    /// restrict-and-repair bounds.  Non-null iff `literals` is set.
-    std::shared_ptr<const cover> cubes;
-    /// Cheap lower/upper bounds from boolfn/bound_literals, when a dominance
-    /// pass bounded the key before (or instead of) minimising it.
-    std::optional<literal_bounds> bounds;
+    /// literal_lower_bound() of the key's spec, when a dominance pass bounded
+    /// the key before (or instead of) minimising it.
+    std::optional<std::size_t> lower;
 };
 
-/// Search-global memo: spec identity -> literal facts (exact counts, covers,
-/// dominance bounds).  Thread-safe (the parallel expander scores moves
-/// concurrently).
+/// Search-global memo: spec identity -> literal facts (exact counts, lower
+/// bounds).  Thread-safe (the parallel expander scores moves concurrently).
 class literal_memo {
 public:
     [[nodiscard]] std::optional<memo_entry> find(const sig_key& key) {
@@ -150,16 +144,13 @@ public:
         if (it == map_.end()) return std::nullopt;
         return it->second;
     }
-    void insert_exact(const sig_key& key, std::size_t literals,
-                      std::shared_ptr<const cover> cubes) {
+    void insert_exact(const sig_key& key, std::size_t literals) {
         std::lock_guard<std::mutex> lock(m_);
-        auto& e = map_[combine(key)];
-        e.literals = literals;
-        e.cubes = std::move(cubes);
+        map_[combine(key)].literals = literals;
     }
-    void insert_bounds(const sig_key& key, literal_bounds bounds) {
+    void insert_lower(const sig_key& key, std::size_t lower) {
         std::lock_guard<std::mutex> lock(m_);
-        map_[combine(key)].bounds = bounds;
+        map_[combine(key)].lower = lower;
     }
 
 private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <unordered_set>
@@ -183,95 +184,83 @@ search_result reduce_concurrency_incremental(const subgraph& initial,
             admitted.resize(unique.size());
             std::iota(admitted.begin(), admitted.end(), 0u);
         } else {
-            // ---- phase 3a: bound every candidate (parallel, cheap).
+            // ---- phase 3a: floor every candidate (parallel, cheap).
             std::vector<move_eval> evals(unique.size());
             {
                 obs::span bsp("explore.bound", "explore");
-                bsp.arg("bounded", static_cast<std::uint64_t>(unique.size()));
+                bsp.arg("floored", static_cast<std::uint64_t>(unique.size()));
                 run_tasks(pool, unique.size(), [&](std::size_t k) {
-                    const move_ref& m = moves[unique[k]];
-                    evals[k] = bound_move(ctx, frontier[m.node].g, frontier[m.node].cache,
-                                          *applied[unique[k]], memo);
+                    evals[k] = floor_move(ctx, frontier[moves[unique[k]].node].cache,
+                                          *applied[unique[k]]);
                 });
             }
             obs::span esp("explore.exact", "explore");
 
-            // ---- phase 3b: exactly score the beam-width most promising
-            // candidates to establish the admission cost.  Seeding by the
-            // *upper* bound (a guaranteed-achievable cost) makes the tightest
-            // threshold; seeding only affects how tight the initial threshold
-            // is, never which candidates the beam finally selects.
-            std::vector<uint32_t> by_hi(unique.size());
-            std::iota(by_hi.begin(), by_hi.end(), 0u);
-            std::stable_sort(by_hi.begin(), by_hi.end(), [&](uint32_t x, uint32_t y) {
-                if (evals[x].value_hi != evals[y].value_hi)
-                    return evals[x].value_hi < evals[y].value_hi;
-                return applied[unique[x]]->sig < applied[unique[y]]->sig;
-            });
-            const std::size_t nseed = std::min(by_hi.size(), opt.size_frontier);
-            run_tasks(
-                pool, nseed,
-                [&](std::size_t i) {
-                    const uint32_t k = by_hi[i];
-                    scores[k] = finish_score(ctx, frontier[moves[unique[k]].node].cache,
-                                             *applied[unique[k]], std::move(evals[k]), memo);
-                },
-                kParallelExact);
-            admitted.assign(by_hi.begin(), by_hi.begin() + static_cast<std::ptrdiff_t>(nseed));
-
-            // ---- phase 3c: lazy refinement to the no-displacement fixpoint
-            // (the dominance prune).  A candidate whose optimistic
-            // cost is strictly worse than `size_frontier` exact scores cannot
-            // be among the `size_frontier` best (ties keep their signature
-            // chance, so only strict inequality prunes).  The remaining
-            // candidates are visited in ascending optimistic cost and scored
-            // in chunks; each chunk tightens the admission cost (the
-            // size_frontier-th smallest exact value so far), so the first
-            // candidate above it ends the level -- everything after is
-            // provably out (the list is sorted by the very bound we prune
-            // on).  The chunk size is a constant, but with jobs > 1 the
-            // exactly-scored set (and so `res.pruned`) can still vary
-            // run-to-run: sibling moves race benignly to bound a shared key
-            // from different warm covers, and the last writer's upper bound
-            // seeds the sort.  The *selection* never varies -- pruning only
-            // ever consults sound lower bounds against exact scores.
-            std::vector<uint32_t> rest(by_hi.begin() + static_cast<std::ptrdiff_t>(nseed),
-                                       by_hi.end());
-            std::stable_sort(rest.begin(), rest.end(), [&](uint32_t x, uint32_t y) {
+            // ---- phase 3b: best-first admission (the dominance prune).  The
+            // admission cost is the size_frontier-th smallest exact value so
+            // far (+inf until that many exist); a candidate whose sound lower
+            // bound is strictly above it is beaten by size_frontier exact
+            // scores and cannot enter the beam (ties keep their signature
+            // chance, so only strict inequality prunes).  Candidates are
+            // visited in ascending (floor, signature) order, in chunks: each
+            // chunk is refined to bound_move's tighter bound, the members
+            // still at or below the admission cost are exactly scored, and
+            // their scores tighten it.  The first floor above the admission
+            // cost ends the level -- everything after is provably out (the
+            // list is sorted by the very bound we prune on).  Every bound is
+            // a pure function of its key and the chunks are fixed, so the
+            // exactly-scored set is independent of the job count.
+            std::vector<uint32_t> by_floor(unique.size());
+            std::iota(by_floor.begin(), by_floor.end(), 0u);
+            std::sort(by_floor.begin(), by_floor.end(), [&](uint32_t x, uint32_t y) {
                 if (evals[x].value_lo != evals[y].value_lo)
                     return evals[x].value_lo < evals[y].value_lo;
                 return applied[unique[x]]->sig < applied[unique[y]]->sig;
             });
             std::vector<double> kbest;  // ascending, capped at size_frontier
-            for (uint32_t k : admitted) kbest.push_back(scores[k].cost.value);
-            std::sort(kbest.begin(), kbest.end());
+            const auto admission = [&] {
+                return kbest.size() < opt.size_frontier
+                           ? std::numeric_limits<double>::infinity()
+                           : kbest.back();
+            };
             constexpr std::size_t chunk_cap = 16;
-            std::vector<uint32_t> chunk;
+            std::vector<uint32_t> chunk, live;
+            std::size_t refined = 0;
             std::size_t i = 0;
-            while (i < rest.size() && evals[rest[i]].value_lo <= kbest.back()) {
+            while (i < by_floor.size() && evals[by_floor[i]].value_lo <= admission()) {
+                const std::size_t cap =
+                    kbest.size() < opt.size_frontier ? opt.size_frontier : chunk_cap;
                 chunk.clear();
-                while (i < rest.size() && chunk.size() < chunk_cap &&
-                       evals[rest[i]].value_lo <= kbest.back())
-                    chunk.push_back(rest[i++]);
+                while (i < by_floor.size() && chunk.size() < cap &&
+                       evals[by_floor[i]].value_lo <= admission())
+                    chunk.push_back(by_floor[i++]);
+                run_tasks(pool, chunk.size(), [&](std::size_t j) {
+                    const uint32_t k = chunk[j];
+                    evals[k] = bound_move(ctx, frontier[moves[unique[k]].node].cache,
+                                          *applied[unique[k]], std::move(evals[k]), memo);
+                });
+                refined += chunk.size();
+                live.clear();
+                for (uint32_t k : chunk)
+                    if (evals[k].value_lo <= admission()) live.push_back(k);
                 run_tasks(
-                    pool, chunk.size(),
+                    pool, live.size(),
                     [&](std::size_t j) {
-                        const uint32_t k = chunk[j];
+                        const uint32_t k = live[j];
                         scores[k] = finish_score(ctx, frontier[moves[unique[k]].node].cache,
                                                  *applied[unique[k]], std::move(evals[k]), memo);
                     },
                     kParallelExact);
-                for (uint32_t k : chunk) {
+                for (uint32_t k : live) {
                     const double v = scores[k].cost.value;
-                    if (v < kbest.back()) {
-                        kbest.insert(std::lower_bound(kbest.begin(), kbest.end(), v), v);
-                        kbest.pop_back();
-                    }
+                    kbest.insert(std::upper_bound(kbest.begin(), kbest.end(), v), v);
+                    if (kbest.size() > opt.size_frontier) kbest.pop_back();
                 }
-                admitted.insert(admitted.end(), chunk.begin(), chunk.end());
+                admitted.insert(admitted.end(), live.begin(), live.end());
             }
             std::sort(admitted.begin(), admitted.end());
             res.pruned += unique.size() - admitted.size();
+            esp.arg("refined", static_cast<std::uint64_t>(refined));
             esp.arg("scored", static_cast<std::uint64_t>(admitted.size()));
         }
         res.explored += unique.size();

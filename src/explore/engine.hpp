@@ -12,17 +12,19 @@
 //    against the parent's cache (move.hpp) -- a candidate that prunes no
 //    state re-minimises at most one signal instead of all of them;
 //  * with search_options::minimizer == incremental (the default) candidates
-//    are dominance-filtered: cheap literal bounds (boolfn/incremental_cover)
-//    run first, and a candidate provably unable to enter the beam is
-//    discarded without exact minimisation -- selection stays bit-identical
-//    to the exact path because only strictly-dominated candidates are
-//    dropped (see the admission logic in engine.cpp);
+//    are dominance-filtered best-first: every candidate gets a cheap floor
+//    (the exact CSC delta plus the literals of the signals the move cannot
+//    change), candidates are visited in ascending floor order, refined to a
+//    lower bound (boolfn literal_lower_bound) and exactly scored only while
+//    that bound can still beat the beam's admission cost -- selection stays
+//    bit-identical to the exact path because only strictly-dominated
+//    candidates are dropped (see the admission logic in engine.cpp);
 //  * a 128-bit transposition table replaces the collision-prone
 //    std::size_t `explored` set;
 //  * with search_options::jobs > 1 the per-level apply/score work fans out
 //    over one persistent batch work-stealing pool per search; the expander
-//    merges in enumeration order, so results are independent of the job
-//    count.
+//    merges in enumeration order, so results -- the pruned count included --
+//    are independent of the job count.
 //
 // The one knob that may change the result is search_options::deadline_ms:
 // when the wall-clock deadline expires the search stops at a level boundary

@@ -215,57 +215,49 @@ move_score score_move(const context& ctx, const subgraph& parent, const analysis
     return out;
 }
 
-move_eval bound_move(const context& ctx, const subgraph& parent, const analysis_cache& cache,
-                     const applied_move& am, literal_memo& memo) {
-    (void)parent;
+move_eval floor_move(const context& ctx, const analysis_cache& cache, const applied_move& am) {
     move_eval ev;
     const detail::row_view child_rows{&ctx, &cache.rows, &am.disturbed, &am.disturbed_rows};
-
     ev.csc = delta_csc_pairs(ctx, cache, am, child_rows);
     ev.states = am.child.live_state_count();
+    // Without pruned states only the delayed event's signal can change its
+    // spec (for_each_changed_signal), so every other signal keeps the
+    // parent's exact count.  Pruning can change any signal's spec: nothing
+    // is known then.
+    if (am.removed_states.none()) {
+        const auto x = static_cast<uint32_t>(ctx.base->events()[am.delayed_event].signal);
+        ev.lits_lo = cache.cost.literals - cache.signals[x].literals;
+    }
+    ev.value_lo = combine_cost(ctx, ev.states, ev.csc, ev.lits_lo).value;
+    return ev;
+}
 
-    // Bracketed literal delta.  Signed accumulation: an intermediate sum may
-    // dip below zero even though the final total cannot.
-    auto lo = static_cast<std::int64_t>(cache.cost.literals);
-    auto hi = lo;
+move_eval bound_move(const context& ctx, const analysis_cache& cache, const applied_move& am,
+                     move_eval floor, literal_memo& memo) {
+    move_eval ev = std::move(floor);
+    std::size_t lo = cache.cost.literals;
     const detail::group_walk walk = child_walk(ctx, cache, am);
     for_each_changed_signal(ctx, cache, am, walk, [&](uint32_t x, const sig_key& key) {
-        move_eval::changed_signal ch;
-        ch.signal = x;
-        ch.key = key;
-        const auto cached = static_cast<std::int64_t>(cache.signals[x].literals);
-        if (auto hit = memo.find(key); hit && hit->literals) {
+        move_eval::changed_signal ch{x, key, std::nullopt};
+        std::size_t lower;
+        const auto hit = memo.find(key);
+        if (hit && hit->literals) {
             memo_hits().add();
-            ch.resolved = true;
             ch.literals = *hit->literals;
-            lo += static_cast<std::int64_t>(ch.literals) - cached;
-            hi += static_cast<std::int64_t>(ch.literals) - cached;
+            lower = *hit->literals;
+        } else if (hit && hit->lower) {
+            lower = *hit->lower;  // a sibling move bounded this key
         } else {
-            if (hit && hit->bounds) {
-                ch.bounds = *hit->bounds;  // a sibling move bounded this key
-            } else {
-                // First sight of this key anywhere: assemble its spec once
-                // and bound it, warm-starting the upper bound on the parent's
-                // minimised cover for this signal (always memoised when the
-                // engine drives us).
-                const sop_spec spec = walk.spec(ctx, x);
-                std::shared_ptr<const cover> warm;
-                if (auto parent_hit = memo.find(cache.signals[x].key);
-                    parent_hit && parent_hit->cubes)
-                    warm = parent_hit->cubes;
-                ch.bounds = warm ? bound_literals(spec, *warm) : bound_literals(spec);
-                memo.insert_bounds(key, ch.bounds);
-            }
-            lo += static_cast<std::int64_t>(ch.bounds.lower) - cached;
-            hi += static_cast<std::int64_t>(ch.bounds.upper) - cached;
+            // First sight of this key anywhere: assemble its spec once.
+            lower = literal_lower_bound(walk.spec(ctx, x));
+            memo.insert_lower(key, lower);
         }
+        lo -= cache.signals[x].literals;
+        lo += lower;
         ev.changed.push_back(std::move(ch));
     });
-
-    ev.lits_lo = static_cast<std::size_t>(std::max<std::int64_t>(0, lo));
-    ev.lits_hi = static_cast<std::size_t>(std::max<std::int64_t>(0, hi));
+    ev.lits_lo = lo;
     ev.value_lo = combine_cost(ctx, ev.states, ev.csc, ev.lits_lo).value;
-    ev.value_hi = combine_cost(ctx, ev.states, ev.csc, ev.lits_hi).value;
     return ev;
 }
 
@@ -273,13 +265,13 @@ move_score finish_score(const context& ctx, const analysis_cache& cache, const a
                         move_eval eval, literal_memo& memo) {
     move_score out;
     // The group walk is redone lazily: every unresolved signal may already be
-    // an exact memo hit by now (a sibling seed minimised the same key).
+    // an exact memo hit by now (a sibling candidate minimised the same key).
     std::optional<detail::group_walk> walk;
     std::size_t literals = cache.cost.literals;
-    for (auto& ch : eval.changed) {
+    for (const auto& ch : eval.changed) {
         std::size_t lits;
-        if (ch.resolved) {
-            lits = ch.literals;
+        if (ch.literals) {
+            lits = *ch.literals;
         } else if (auto hit = memo.find(ch.key); hit && hit->literals) {
             memo_hits().add();
             lits = *hit->literals;

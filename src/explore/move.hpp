@@ -18,6 +18,12 @@
 // (child_walk()), not from one walk per signal.  A
 // search-global literal_memo additionally dedupes minimisations across
 // sibling candidates that converge to the same spec.
+//
+// The dominance filter splits that score into three tiers, and a candidate
+// pays only for the tiers it survives: floor_move() (the CSC delta plus the
+// literals of the signals the move cannot change), bound_move() (the group
+// walk plus a lower bound per changed signal) and finish_score() (the exact
+// minimisation, equal to score_move()).
 #pragma once
 
 #include <optional>
@@ -69,44 +75,46 @@ struct move_score {
                                     const analysis_cache& cache, const applied_move& am,
                                     literal_memo& memo);
 
-/// Partial (bounded) evaluation of one applied move -- the cheap first phase
-/// of the dominance filter.  The CSC term is exact (it is a counting delta);
-/// the literal term is bracketed instead of minimised: signals whose spec key
-/// kept the parent's value contribute exactly, and each changed signal
-/// contributes either an exact memo hit or [lower, upper] bounds from
-/// boolfn/bound_literals warm-started on the parent cover.  value_lo is a
-/// sound optimistic cost -- no exact score of this move can be smaller -- so
-/// a candidate whose value_lo is strictly worse than `size_frontier`
-/// already-exact scores can be discarded without ever minimising.  value_hi
-/// is only a seeding heuristic (the heuristic minimiser may exceed it) and
-/// must never be used to prune.
+/// Partial evaluation of one applied move -- the dominance filter's bound,
+/// refined in two tiers.  The CSC term is exact in both (a counting delta);
+/// the literal term is a sound lower bound: no exact score of this move can
+/// be smaller than value_lo, so a candidate whose value_lo is strictly worse
+/// than `size_frontier` already-exact scores can be discarded without ever
+/// minimising.
+///  * floor_move(): the literals of the signals the move provably leaves
+///    unchanged, and nothing for the rest.  No walk, no keys, no spec.
+///  * bound_move(): one group walk re-keys the changed signals; each adds
+///    its exact memoised count or literal_lower_bound() of its spec.
 struct move_eval {
-    std::size_t csc = 0;     ///< exact Delta-adjusted csc_pairs of the child
-    std::size_t states = 0;  ///< child live states
-    /// Bracketed literal total over all estimated signals.
-    std::size_t lits_lo = 0, lits_hi = 0;
-    double value_lo = 0.0;  ///< cost with lits_lo (sound lower bound)
-    double value_hi = 0.0;  ///< cost with lits_hi (seeding heuristic only)
-    /// Changed-key signals in the exact scorer's canonical order.  Specs are
-    /// deliberately NOT materialised here: a pruned candidate never assembles
-    /// one, and finish_score() rebuilds the (deterministic) group order from
-    /// the parent cache for the few candidates that survive.
+    std::size_t csc = 0;      ///< exact Delta-adjusted csc_pairs of the child
+    std::size_t states = 0;   ///< child live states
+    std::size_t lits_lo = 0;  ///< sound lower bound on the literal total
+    double value_lo = 0.0;    ///< cost with lits_lo (sound lower bound)
+    /// Changed-key signals in the exact scorer's canonical order (filled by
+    /// bound_move()).  Specs are deliberately NOT materialised here: a pruned
+    /// candidate never assembles one, and finish_score() rebuilds the
+    /// (deterministic) group order from the parent cache for the few
+    /// candidates that survive.
     struct changed_signal {
         uint32_t signal = 0;
         sig_key key;
-        bool resolved = false;      ///< exact literal count already known
-        std::size_t literals = 0;   ///< valid when resolved
-        literal_bounds bounds;      ///< valid when !resolved
+        std::optional<std::size_t> literals;  ///< exact count, when already known
     };
     std::vector<changed_signal> changed;
 };
 
-/// Bounded evaluation of @p am against the parent's cache.  Bounds for new
-/// keys are memoised in @p memo (and reused from it), so sibling moves that
-/// converge to the same spec bound it once -- and assemble its minterm lists
-/// at most once.
-[[nodiscard]] move_eval bound_move(const context& ctx, const subgraph& parent,
-                                   const analysis_cache& cache, const applied_move& am,
+/// The cheap first tier of @p am's bound, from the parent's cache alone.
+[[nodiscard]] move_eval floor_move(const context& ctx, const analysis_cache& cache,
+                                   const applied_move& am);
+
+/// Refines @p floor (floor_move() of the same move) to the second tier.
+/// Lower bounds of new keys are memoised in @p memo (and reused from it), so
+/// sibling moves that converge to the same spec bound it once -- and
+/// assemble its minterm lists at most once.  Every value it reads or stores
+/// is a pure function of a spec key, so the result does not depend on which
+/// thread bounded a shared key first.
+[[nodiscard]] move_eval bound_move(const context& ctx, const analysis_cache& cache,
+                                   const applied_move& am, move_eval floor,
                                    literal_memo& memo);
 
 /// Resolves a bounded evaluation into the exact score.  Bit-for-bit equal to

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "boolfn/incremental_cover.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
@@ -128,11 +127,11 @@ synthesis_result synthesize(const subgraph& g, const synthesis_options& opt) {
         signal_impl impl;
         impl.signal = sig;
         impl.function = minimize(ns.spec, opt.exact);
-        // The dominance bounds of boolfn/incremental_cover floor every valid
-        // cover; cross-checking them against each synthesised function keeps
-        // the search's pruning argument honest on every circuit the
-        // Release-with-asserts sanitizer CI job builds.
-        assert(bound_literals(ns.spec).lower <= impl.function.literal_count());
+        // literal_lower_bound() floors every valid cover, and the search's
+        // dominance filter prunes on it; cross-checking it against each
+        // synthesised function keeps the pruning argument honest on every
+        // circuit the Release-with-asserts sanitizer CI job builds.
+        assert(literal_lower_bound(ns.spec) <= impl.function.literal_count());
 
         // Classify.
         if (impl.function.cubes.empty()) {

@@ -1,9 +1,8 @@
 // Cube/cover algebra and the two minimisers, cross-checked against brute
 // force truth tables on random functions; minimize_exact against a
 // brute-force optimum over all 3^n cubes; prime_implicants against the
-// literal-dropping DFS it replaced; plus the incremental cover engine
-// (restrict-and-repair, literal bounds) against a brute-force
-// literal-optimal cover.
+// literal-dropping DFS it replaced; plus the literal lower bound against a
+// brute-force literal-optimal cover and a plain-bitset reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include "benchmarks/corpus.hpp"
 #include "benchmarks/generate.hpp"
 #include "boolfn/cover.hpp"
-#include "boolfn/incremental_cover.hpp"
 #include "logic/synthesis.hpp"
 #include "pipeline/pipeline.hpp"
 #include "util/hash.hpp"
@@ -492,13 +490,13 @@ TEST(prime_implicants, edge_cases_match_the_dfs) {
     EXPECT_FALSE(prime_implicants(dense, 0).has_value());
 }
 
-// ---- incremental covers + literal bounds -----------------------------------
+// ---- literal lower bound ---------------------------------------------------
 
 namespace {
 
 /// Minimum literal count over ALL valid covers of @p spec, by exhaustive
 /// branch and bound over every cube of the (tiny) variable universe.  This is
-/// the quantity literal_bounds brackets -- note it can be *smaller* than
+/// the quantity literal_lower_bound floors -- note it can be *smaller* than
 /// minimize_exact's literal count, which optimises cube count first.
 std::size_t optimal_literal_count(const sop_spec& spec) {
     if (spec.on.empty()) return 0;
@@ -550,33 +548,17 @@ std::size_t optimal_literal_count(const sop_spec& spec) {
     return best;
 }
 
-/// Drops a pseudo-random subset of ON/OFF minterms -- the shape of spec drift
-/// the search produces (pruned states leave the reachable set, so codes move
-/// to the don't-care set).
-sop_spec restrict_spec(const sop_spec& spec, uint64_t seed, double p_drop = 0.3) {
-    xorshift64 rng(seed);
-    sop_spec out;
-    out.nvars = spec.nvars;
-    for (const auto& m : spec.on)
-        if (!rng.next_bool(p_drop)) out.on.push_back(m);
-    for (const auto& m : spec.off)
-        if (!rng.next_bool(p_drop)) out.off.push_back(m);
-    return out;
-}
-
 }  // namespace
 
 TEST(bounds, empty_sides_cost_nothing) {
     sop_spec none;
     none.nvars = 4;
     none.off.push_back(point(4, 5));
-    EXPECT_EQ(bound_literals(none).lower, 0u);  // constant 0
-    EXPECT_EQ(bound_literals(none).upper, 0u);
+    EXPECT_EQ(literal_lower_bound(none), 0u);  // constant 0
     sop_spec taut;
     taut.nvars = 4;
     taut.on.push_back(point(4, 5));
-    EXPECT_EQ(bound_literals(taut).lower, 0u);  // the universal cube
-    EXPECT_EQ(bound_literals(taut).upper, 0u);
+    EXPECT_EQ(literal_lower_bound(taut), 0u);  // the universal cube
 }
 
 TEST(bounds, forced_literals_are_detected) {
@@ -587,34 +569,22 @@ TEST(bounds, forced_literals_are_detected) {
     s.on.push_back(point(3, 0b000));
     s.off.push_back(point(3, 0b001));
     s.off.push_back(point(3, 0b010));
-    const auto b = bound_literals(s);
-    EXPECT_EQ(b.lower, 2u);
+    EXPECT_EQ(literal_lower_bound(s), 2u);
     EXPECT_EQ(optimal_literal_count(s), 2u);
-    EXPECT_GE(b.upper, 2u);
 }
 
 class bounds_random : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(bounds_random, bracket_the_literal_optimum) {
+TEST_P(bounds_random, floor_the_literal_optimum) {
     const uint64_t seed = GetParam();
     const std::size_t n = 3 + seed % 2;  // 3..4 variables (brute force stays tiny)
     auto spec = random_spec(n, seed * 1031 + 7);
     if (spec.on.empty()) return;
-    const std::size_t optimum = optimal_literal_count(spec);
-    const auto cold = bound_literals(spec);
-    EXPECT_LE(cold.lower, optimum) << "seed " << seed;
-    EXPECT_GE(cold.upper, optimum) << "seed " << seed;
+    const std::size_t lower = literal_lower_bound(spec);
+    EXPECT_LE(lower, optimal_literal_count(spec)) << "seed " << seed;
     // Sound against every valid cover, in particular both minimisers'.
-    EXPECT_LE(cold.lower, minimize_heuristic(spec, 2).literal_count()) << "seed " << seed;
-    EXPECT_LE(cold.lower, minimize_exact(spec).literal_count()) << "seed " << seed;
-
-    // Warm-start: repair the cover of a *drifted* predecessor spec; the
-    // bracket must still hold and the upper bound must not loosen.
-    auto warm = minimize_heuristic(random_spec(n, seed * 919 + 3), 2);
-    const auto warmed = bound_literals(spec, warm);
-    EXPECT_EQ(warmed.lower, cold.lower) << "seed " << seed;
-    EXPECT_GE(warmed.upper, optimum) << "seed " << seed;
-    EXPECT_LE(warmed.upper, cold.upper) << "seed " << seed;
+    EXPECT_LE(lower, minimize_heuristic(spec, 2).literal_count()) << "seed " << seed;
+    EXPECT_LE(lower, minimize_exact(spec).literal_count()) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, bounds_random, ::testing::Range<uint64_t>(0, 30));
@@ -705,47 +675,12 @@ TEST_P(bounds_wide, clique_bound_matches_bitset_reference_across_words) {
     for (std::size_t n : {63, 64, 65, 130}) {
         const auto spec = wide_spec(n, GetParam() * 131 + n);
         SCOPED_TRACE(::testing::Message() << n << " vars, seed " << GetParam());
-        const auto b = bound_literals(spec);
-        EXPECT_EQ(b.lower, reference_clique_bound(spec));
-        EXPECT_GT(b.lower, 0u);
-        EXPECT_LE(b.lower, minimize_heuristic(spec).literal_count());
+        const std::size_t lower = literal_lower_bound(spec);
+        EXPECT_EQ(lower, reference_clique_bound(spec));
+        EXPECT_GT(lower, 0u);
+        EXPECT_LE(lower, minimize_heuristic(spec).literal_count());
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, bounds_wide, ::testing::Range<uint64_t>(0, 12));
 
-class rebase_random : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(rebase_random, repaired_cover_is_valid_and_accounted) {
-    const uint64_t seed = GetParam();
-    const std::size_t n = 3 + seed % 4;  // 3..6 variables
-    auto before = random_spec(n, seed * 577 + 11);
-    if (before.on.empty()) return;
-    incremental_cover ic(minimize_heuristic(before, 2));
-    const std::size_t seeded = ic.cubes().cubes.size();
-
-    // Drift 1: a pure restriction (minterms leave both sides).  No kept cube
-    // can turn invalid, so nothing is repaired, dropped or added.
-    auto restricted = restrict_spec(before, seed * 13 + 1);
-    auto st = ic.rebase(restricted);
-    EXPECT_TRUE(verify_cover(ic.cubes(), restricted)) << "seed " << seed;
-    EXPECT_EQ(st.kept, seeded) << "seed " << seed;
-    EXPECT_EQ(st.repaired, 0u) << "seed " << seed;
-    EXPECT_EQ(st.dropped, 0u) << "seed " << seed;
-    EXPECT_EQ(st.added, 0u) << "seed " << seed;
-    EXPECT_LE(ic.literal_count(), n * restricted.on.size()) << "seed " << seed;
-
-    // Drift 2: an unrelated spec (worst case -- wholesale invalidation).
-    // The repaired result must still be a valid cover, and the stats must
-    // account for every seeded cube.
-    auto after = random_spec(n, seed * 7919 + 5);
-    const std::size_t base = ic.cubes().cubes.size();
-    st = ic.rebase(after);
-    EXPECT_TRUE(verify_cover(ic.cubes(), after)) << "seed " << seed;
-    EXPECT_EQ(st.kept + st.repaired + st.dropped, base) << "seed " << seed;
-    if (after.on.empty()) {
-        EXPECT_TRUE(ic.cubes().cubes.empty());
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(seeds, rebase_random, ::testing::Range<uint64_t>(0, 30));

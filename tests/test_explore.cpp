@@ -234,10 +234,11 @@ TEST(move, group_walk_matches_derive_nextstate) {
     // all moves of its first child): each key score_move and bound_move
     // report, each spec the walk hands the bounder and the minimiser, and
     // each literal count must equal what the materialised child's
-    // derive_nextstate() gives.  The wide chain runs the two-word masks.
+    // derive_nextstate() gives, and floor_move must floor the exact score.
+    // The wide chain runs the two-word masks.
     auto specs = equivalence_specs();
     specs.push_back({"wide_chain", wide_chain_spec()});
-    std::size_t moves = 0, wide_moves = 0, specs_checked = 0;
+    std::size_t moves = 0, wide_moves = 0, specs_checked = 0, unpruned_changed = 0;
     for (const auto& [name, spec] : specs) {
         auto base = make_sg(spec);
         if (base.state_count() > 600) continue;
@@ -284,7 +285,15 @@ TEST(move, group_walk_matches_derive_nextstate) {
                                   minimize_heuristic(ns.spec, p.minimize_passes).literal_count())
                             << where << " signal " << u.signal;
                     }
-                    auto eval = explore::bound_move(ctx, g, cache, *am, memo);
+                    // The floor's CSC and state terms are exact and its
+                    // literal term sound, also on the moves that prune no
+                    // state, where it keeps every unchanged signal's count.
+                    auto floor = explore::floor_move(ctx, cache, *am);
+                    EXPECT_EQ(floor.csc, score.cost.csc_pairs) << where;
+                    EXPECT_EQ(floor.states, score.cost.states) << where;
+                    EXPECT_LE(floor.value_lo, score.cost.value) << where;
+                    if (am->removed_states.none() && !score.updates.empty()) ++unpruned_changed;
+                    auto eval = explore::bound_move(ctx, cache, *am, std::move(floor), memo);
                     ASSERT_EQ(eval.changed.size(), score.updates.size()) << where;
                     for (const auto& ch : eval.changed)
                         EXPECT_EQ(ch.key,
@@ -304,6 +313,7 @@ TEST(move, group_walk_matches_derive_nextstate) {
     EXPECT_GT(specs_checked, 5u);
     EXPECT_GT(moves, 0u);
     EXPECT_GT(wide_moves, 0u);
+    EXPECT_GT(unpruned_changed, 0u);  // the floor's partial-literal branch ran
 }
 
 // INSTANTIATE_TEST_SUITE_P below pins the sweep width; this test fails the
@@ -357,11 +367,12 @@ TEST_P(engine_equivalence, incremental_equals_reference) {
 INSTANTIATE_TEST_SUITE_P(corpus, engine_equivalence, ::testing::Range<std::size_t>(0, 19));
 
 TEST(move, bound_and_finish_match_score) {
-    // Along greedy move chains: bound_move's optimistic cost must floor the
-    // exact score, finish_score(bound_move(...)) must equal score_move(...)
-    // bit for bit (same cost, same updates), and the CSC term is exact in
-    // both.  A separate memo drives the bound path so a warm score-side memo
-    // cannot mask a bound-side bug.
+    // Along greedy move chains: floor_move <= bound_move <= the exact score
+    // (both tiers' optimistic costs are sound), finish_score(bound_move(...))
+    // must equal score_move(...) bit for bit (same cost, same updates), and
+    // the CSC and state terms are exact in every tier.  A separate memo
+    // drives the bound path so a warm score-side memo cannot mask a
+    // bound-side bug.
     for (const auto& [name, spec] : equivalence_specs()) {
         auto base = make_sg(spec);
         if (base.state_count() > 600) continue;
@@ -385,10 +396,16 @@ TEST(move, bound_and_finish_match_score) {
             }
             if (!am) break;
             auto score = explore::score_move(ctx, g, cache, *am, score_memo);
-            auto eval = explore::bound_move(ctx, g, cache, *am, bound_memo);
+            auto floor = explore::floor_move(ctx, cache, *am);
+            EXPECT_EQ(floor.csc, score.cost.csc_pairs) << name << " step " << step;
+            EXPECT_EQ(floor.states, score.cost.states) << name << " step " << step;
+            EXPECT_TRUE(floor.changed.empty()) << name << " step " << step;
+            const double floor_value = floor.value_lo;
+            auto eval = explore::bound_move(ctx, cache, *am, std::move(floor), bound_memo);
             EXPECT_EQ(eval.csc, score.cost.csc_pairs) << name << " step " << step;
             EXPECT_EQ(eval.states, score.cost.states) << name << " step " << step;
             EXPECT_LE(eval.lits_lo, score.cost.literals) << name << " step " << step;
+            EXPECT_LE(floor_value, eval.value_lo) << name << " step " << step;
             EXPECT_LE(eval.value_lo, score.cost.value) << name << " step " << step;
             auto fin = explore::finish_score(ctx, cache, *am, std::move(eval), bound_memo);
             EXPECT_EQ(fin.cost.value, score.cost.value) << name << " step " << step;
@@ -431,6 +448,9 @@ TEST(engine, results_independent_of_job_count) {
     so.jobs = 4;
     auto parallel = explore::reduce_concurrency_incremental(g, so);
     expect_equal_results(serial, parallel, "mmu jobs 1 vs 4");
+    // Every bound is a pure function of its key and the admission chunks are
+    // fixed, so even the exactly-scored set does not depend on the jobs.
+    EXPECT_EQ(serial.pruned, parallel.pruned);
 }
 
 TEST(engine, beam_selection_is_reproducible) {
